@@ -2,11 +2,15 @@
 
 Connect every pair of samples closer than a radius h_graph with an edge
 weighted by their Euclidean distance, then measure all-pairs shortest
-paths.  Disconnection is a value (+inf), not an error.
+paths.  Disconnection is a value (+inf), not an error.  Edge weights are
+quantised so that path lengths are summed in exact arithmetic (see
+shortest_path_distances), which makes the triangle inequality hold with no
+floating-point slack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,34 +61,22 @@ def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     return NeighborGraph(n=cloud.n, h_graph=h_graph, adjacency=adjacency)
 
 
-def _min_plus_closure(dist: np.ndarray) -> np.ndarray:
-    """Relax d_ij = min(d_ij, d_ik + d_kj) until nothing moves.
-
-    Dijkstra sums each path in its own order, so its output can violate
-    the triangle inequality by a few ulps.  At the fixed point of this
-    relaxation no entry exceeds any one-stop detour in the delivered
-    arithmetic, making the inequality hold with zero slack.  Entries only
-    shrink, and by at most those same ulps.
-    """
-    while True:
-        changed = False
-        for k in range(dist.shape[0]):
-            via = dist[:, k][:, None] + dist[k, :][None, :]
-            mask = via < dist
-            if mask.any():
-                dist[mask] = via[mask]
-                changed = True
-        if not changed:
-            return dist
-
-
 def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:
-    """All-pairs shortest-path lengths; +inf marks unreachable pairs."""
-    dist = dijkstra(graph.adjacency, directed=False)
-    # Dijkstra's output is symmetric up to rounding; make it exact.
-    dist = np.minimum(dist, dist.T)
-    np.fill_diagonal(dist, 0.0)
-    return DistanceMatrix(_min_plus_closure(dist))
+    """All-pairs shortest-path lengths; +inf marks unreachable pairs.
+
+    Edge weights are first rounded to multiples of the power-of-two
+    quantum 2^(ceil(log2(2 W)) - 52), W the sum of the adjacency weights.
+    Every path length, and every sum of two, is then an exact float64, so
+    the matrix is exactly symmetric and meets the triangle inequality with
+    zero slack.  Each entry differs from the unquantised shortest path by
+    at most (edges on the path) x quantum / 2.
+    """
+    adjacency = graph.adjacency.copy()
+    total = float(adjacency.sum())
+    if total > 0:
+        quantum = 2.0 ** (math.ceil(math.log2(2 * total)) - 52)
+        adjacency.data = np.round(adjacency.data / quantum) * quantum
+    return DistanceMatrix(dijkstra(adjacency, directed=False))
 
 
 def run_baseline(cloud: PointCloud, h_graph: float) -> DistanceMatrix:

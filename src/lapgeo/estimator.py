@@ -246,7 +246,9 @@ def estimate_distance(
 ) -> float:
     """Estimated intrinsic distance between samples a and b: the best
     objective value over the seeded candidate stream plus refinement of the
-    keep_top Monte-Carlo leaders."""
+    keep_top Monte-Carlo leaders.  No chordal floor is applied, so unlike
+    estimate_all_distances the result can fall below the Euclidean
+    distance between the two samples."""
     _check_pair(cfg, a, b)
     if a == b:
         return 0.0

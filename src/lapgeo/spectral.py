@@ -61,14 +61,15 @@ class SpectralDecomposition:
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the first coordinate with |.| > SIGN_EPS is positive."""
-    v = vectors.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-    return v
+    """Flip columns so the first coordinate with |.| > SIGN_EPS is positive;
+    a column with no such coordinate is left as it is."""
+    if vectors.size == 0:
+        return vectors.copy()
+    big = np.abs(vectors) > SIGN_EPS
+    first = vectors[np.argmax(big, axis=0), np.arange(vectors.shape[1])]
+    flip = np.where(big.any(axis=0) & (first < 0), -1.0, 1.0)
+    # C order whatever the input's: later products round by memory layout
+    return np.multiply(vectors, flip, order="C")
 
 
 def eigendecompose(operator) -> SpectralDecomposition:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 import lapgeo as lg
 from lapgeo.baseline import build_neighbor_graph, shortest_path_distances
@@ -96,3 +99,31 @@ class TestShortestPathDistances:
         d = lg.run_baseline(cloud, h_graph=0.7)
         assert d.matrix.shape == (25, 25)
         assert np.all(np.diag(d.matrix) == 0.0)
+
+    def test_exactly_symmetric(self):
+        cloud = lg.sample_uniform_circle(300, seed=2)
+        d = lg.run_baseline(cloud, h_graph=0.3).matrix
+        assert np.array_equal(d, d.T)
+
+    def test_coincident_points_are_at_distance_zero(self):
+        # total edge weight 0 (nothing to quantise), then zero edges mixed
+        # with positive ones
+        g = build_neighbor_graph(_cloud([[1.0], [1.0]]), h_graph=0.5)
+        assert np.array_equal(shortest_path_distances(g).matrix, np.zeros((2, 2)))
+        g = build_neighbor_graph(_cloud([[0.0], [0.0], [1.0], [2.5]]), h_graph=1.6)
+        d = shortest_path_distances(g).matrix
+        assert d[0, 1] == 0.0 and d[1, 0] == 0.0
+        assert np.array_equal(d[0], d[1])
+        assert d[0, 3] == pytest.approx(2.5, abs=1e-14)
+
+    def test_within_quantisation_bound_of_unquantised(self):
+        cloud = lg.sample_uniform_circle(300, seed=3)
+        g = build_neighbor_graph(cloud, h_graph=0.3)
+        d = shortest_path_distances(g).matrix
+        unquantised = dijkstra(g.adjacency, directed=False)
+        total = float(g.adjacency.sum())
+        quantum = 2.0 ** (math.ceil(math.log2(2 * total)) - 52)
+        assert np.array_equal(np.isinf(d), np.isinf(unquantised))
+        finite = np.isfinite(d)
+        assert np.all(d[finite] % quantum == 0.0)
+        assert np.all(np.abs(d - unquantised)[finite] <= (g.n - 1) * quantum / 2)

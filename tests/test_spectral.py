@@ -3,7 +3,12 @@ import pytest
 
 import lapgeo as lg
 from lapgeo.errors import InputError, NoAdmissibleQError, NumericalError
-from lapgeo.spectral import operator_from_modes, project_leading
+from lapgeo.spectral import (
+    SIGN_EPS,
+    _sign_normalize,
+    operator_from_modes,
+    project_leading,
+)
 
 from conftest import random_decomposition
 
@@ -20,12 +25,19 @@ class TestEigendecompose:
         assert dec.rank == 1
         # sign convention: first nonzero coordinate positive
         assert np.allclose(dec.eigenvectors[:, 1], [np.sqrt(0.5), -np.sqrt(0.5)])
+        # a column with no coordinate above SIGN_EPS keeps its signs
+        tiny = -0.5 * SIGN_EPS
+        cols = np.array([[tiny, tiny, -1.0], [tiny, -2.0, 3.0]])
+        assert np.array_equal(
+            _sign_normalize(cols), [[tiny, -tiny, 1.0], [tiny, 2.0, -3.0]]
+        )
 
     def test_zero_operator(self):
         dec = lg.eigendecompose(np.zeros((3, 3)))
         assert dec.kernel_dim == 3
         assert dec.rank == 0
         assert np.array_equal(dec.eigenvalues, np.zeros(3))
+        assert lg.eigendecompose(np.zeros((0, 0))).eigenvectors.shape == (0, 0)
 
     def test_kernel_first_then_increasing_magnitude(self):
         dec = lg.eigendecompose(_diag_operator([0.0, -3.0, -1.0, -2.0]))
