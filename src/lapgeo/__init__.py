@@ -40,7 +40,6 @@ from .estimator import (
     estimate_all_distances,
     estimate_distance,
     grad_sup,
-    grad_sup_spectral,
     objective,
     oracle_plugin_estimate,
 )

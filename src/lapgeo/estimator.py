@@ -12,7 +12,10 @@ which the field loses its constant part (for sin theta on the circle the
 result would be cos(2 theta)/2 instead of cos^2 theta).  The distance
 estimate for a pair (a, b) is the supremum over candidates of
 |f(a) - f(b)| / sup_grad(f), searched by seeded Monte Carlo plus
-coordinate-wise pattern refinement.
+coordinate-wise pattern refinement.  The all-pairs estimate is the
+Chebyshev distance between rows of the embedding F whose columns are the
+probed candidates scaled to unit gradient sup, floored at the chordal
+distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
 """
 
 from __future__ import annotations
@@ -149,30 +152,6 @@ def grad_sup(cfg: DiracConfig, vhat) -> float:
     return float(_grad_sup_cols(cfg, vhat[:, None])[0])
 
 
-def grad_sup_spectral(cfg: DiracConfig, vhat) -> float:
-    """grad_sup through the spectral-coefficient route: triple products
-    c_ijk = sum_m e_i[m] e_j[m] e_k[m] weighted by (lambda_k/2 - lambda_j).
-
-    Algebraically identical to the dirac_squared route (two factorizations
-    of the same quadratic form); kept as an independent implementation for
-    cross-checking.
-    """
-    vhat = validate_candidate(vhat, cfg.q)
-    dec = cfg.decomposition
-    basis_q = dec.leading(cfg.q)
-    lam_q = dec.nonzero_eigenvalues[: cfg.q]
-    # projection basis: kernel plus leading r, with their eigenvalues
-    proj = np.hstack([dec.kernel(), dec.leading(cfg.r)])
-    lam_proj = np.concatenate(
-        [np.zeros(dec.kernel_dim), dec.nonzero_eigenvalues[: cfg.r]]
-    )
-    triple = np.einsum("mi,mj,mk->ijk", basis_q, basis_q, proj)
-    weights = 0.5 * lam_proj[None, :] - lam_q[:, None]  # (j, k)
-    coeffs = np.einsum("i,j,jk,ijk->k", vhat, vhat, weights, triple)
-    d2 = proj @ coeffs
-    return float(_sup_from_dirac_cols(d2[:, None])[0])
-
-
 def _objective_cols(
     cfg: DiracConfig, vhat_cols: np.ndarray, a: int, b: int
 ) -> np.ndarray:
@@ -213,15 +192,12 @@ def _mc_candidates(q: int, opt: OptimizerConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (opt.n_samples, q)).T
 
 
-def _pattern_search(score, start: np.ndarray, opt: OptimizerConfig):
-    """Greedy coordinate descent with step halving inside the box.
-
-    score maps a coefficient vector to a float; returns (best vector,
-    best value, all probed values).  Deterministic.
+def _pattern_search(score_cols, start: np.ndarray, opt: OptimizerConfig) -> float:
+    """Greedy coordinate ascent with step halving inside the box from start;
+    returns the best score, which is the largest one probed.  Deterministic.
     """
     cur = start.copy()
-    cur_val = score(cur)
-    probed = [cur_val]
+    cur_val = float(score_cols(cur[:, None])[0])
     step = opt.step0
     for _ in range(opt.n_refine):
         improved = False
@@ -231,14 +207,30 @@ def _pattern_search(score, start: np.ndarray, opt: OptimizerConfig):
                 cand[k] = np.clip(cand[k] + sign * step, -1.0, 1.0)
                 if cand[k] == cur[k]:
                     continue
-                val = score(cand)
-                probed.append(val)
+                val = float(score_cols(cand[:, None])[0])
                 if val > cur_val:
                     cur, cur_val = cand, val
                     improved = True
         if not improved:
             step *= 0.5
-    return cur, cur_val, probed
+    return cur_val
+
+
+def _search(score_cols, q: int, opt: OptimizerConfig) -> float:
+    """Best score over the seeded Monte-Carlo stream plus pattern search
+    from its keep_top non-degenerate leaders.  score_cols maps (q, m)
+    coefficient columns to m scores, DEGENERATE marking unusable ones."""
+    cand = _mc_candidates(q, opt)
+    vals = score_cols(cand)
+    best = float(vals.max())
+    order = np.argsort(vals, kind="stable")[::-1][: opt.keep_top]
+    for idx in order[vals[order] != DEGENERATE]:
+        best = max(best, _pattern_search(score_cols, cand[:, idx], opt))
+    if best == DEGENERATE:
+        raise EstimationFailedError(
+            "every candidate was degenerate (zero gradient sup)"
+        )
+    return best
 
 
 def estimate_distance(
@@ -252,39 +244,20 @@ def estimate_distance(
     _check_pair(cfg, a, b)
     if a == b:
         return 0.0
-    cand = _mc_candidates(cfg.q, opt)
-    if cand.shape[1] == 0:
+    if opt.n_samples == 0:
         raise EstimationFailedError("no candidates: n_samples is 0")
-    vals = _objective_cols(cfg, cand, a, b)
-    best = float(vals.max())
-    order = np.argsort(vals, kind="stable")[::-1][: opt.keep_top]
-    for idx in order:
-        if vals[idx] == DEGENERATE:
-            continue
-        _, _, probed = _pattern_search(
-            lambda v: float(_objective_cols(cfg, v[:, None], a, b)[0]),
-            cand[:, idx],
-            opt,
-        )
-        best = max(best, max(probed))
-    if best == DEGENERATE:
-        raise EstimationFailedError(
-            "every candidate was degenerate (zero gradient sup)"
-        )
-    return best
+    return _search(lambda c: _objective_cols(cfg, c, a, b), cfg.q, opt)
 
 
 def estimate_all_distances(
     cfg: DiracConfig, cloud: PointCloud, opt: OptimizerConfig
 ) -> DistanceMatrix:
-    """Simultaneous estimate for every pair.
-
-    Starts from the Euclidean matrix and applies the max-update
-    D_ab = max(D_ab, |f(a) - f(b)| / sup_grad(f)) for every candidate in
-    the shared stream, so each entry is at least Euclidean and at least the
-    best value any probed candidate achieved for that pair.  Refinement
-    climbs the global score (range of f) / sup_grad(f), the largest update
-    a candidate can deliver.
+    """Simultaneous estimate for every pair: the Chebyshev distance between
+    rows of the embedding whose columns are the candidates f the search
+    probes, each scaled to unit gradient sup, floored at the chordal distance,
+    D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).  Refinement
+    climbs the global score (range of f) / sup_grad(f), the largest value a
+    candidate can deliver to any pair.
     """
     dec = cfg.decomposition
     if cloud.n != dec.n:
@@ -296,33 +269,28 @@ def estimate_all_distances(
         return DistanceMatrix(dist)
 
     basis_q = dec.leading(cfg.q)
+    cols = []
 
-    def apply_updates(vhat_cols: np.ndarray) -> np.ndarray:
-        """Max-update dist with every valid column; returns global scores."""
+    def embed_cols(vhat_cols: np.ndarray) -> np.ndarray:
+        """Embed the non-degenerate columns; returns their global scores."""
         f_cols = basis_q @ vhat_cols
         sups = _sup_from_dirac_cols(_dirac_squared_cols(cfg, f_cols))
+        ok = sups >= GRAD_EPS
+        f = f_cols[:, ok] / sups[ok]
+        cols.append(f)
         scores = np.full(vhat_cols.shape[1], DEGENERATE)
-        for j in range(vhat_cols.shape[1]):
-            if sups[j] < GRAD_EPS:
-                continue
-            f = f_cols[:, j] / sups[j]
-            np.maximum(dist, np.abs(f[:, None] - f[None, :]), out=dist)
-            scores[j] = f.max() - f.min()
+        scores[ok] = f.max(axis=0) - f.min(axis=0)
         return scores
 
-    cand = _mc_candidates(cfg.q, opt)
-    scores = apply_updates(cand)
-    if np.all(scores == DEGENERATE):
-        raise EstimationFailedError(
-            "every candidate was degenerate (zero gradient sup)"
-        )
-    order = np.argsort(scores, kind="stable")[::-1][: opt.keep_top]
-    for idx in order:
-        if scores[idx] == DEGENERATE:
-            continue
-        _pattern_search(
-            lambda v: float(apply_updates(v[:, None])[0]), cand[:, idx], opt
-        )
+    _search(embed_cols, cfg.q, opt)
+    emb = np.concatenate(cols, axis=1).T.copy()
+    diff = np.empty_like(emb)
+    for a in range(dec.n):
+        np.abs(np.subtract(emb, emb[:, a : a + 1], out=diff), out=diff)
+        np.maximum(dist[a], diff.max(axis=0), out=dist[a])
+    # freed before DistanceMatrix validates, whose n x n temporaries are
+    # this function's memory peak
+    del cols, emb, diff
     np.fill_diagonal(dist, 0.0)
     return DistanceMatrix(dist)
 

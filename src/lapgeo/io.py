@@ -17,10 +17,6 @@ from .errors import InputError
 from .types import DistanceMatrix, PointCloud, validate_point_cloud
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_row(row, row_number: int):
     try:
         return [float(cell) for cell in row]
@@ -56,9 +52,7 @@ def load_point_cloud(path) -> PointCloud:
 
 def save_distance_matrix(path, dist: DistanceMatrix) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(dist.matrix):
-            writer.writerow(_fmt(x) for x in row)
+        np.savetxt(fh, dist.matrix, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
@@ -82,6 +76,6 @@ def write_loss_csv(path, rows) -> None:
         writer.writerow(LOSS_HEADER)
         for row in rows:
             writer.writerow(
-                _fmt(row[key]) if isinstance(row[key], float) else str(row[key])
+                format(row[key], ".17g") if isinstance(row[key], float) else str(row[key])
                 for key in LOSS_HEADER
             )

@@ -40,3 +40,27 @@ def random_decomposition(rng, n=None, ambient=3):
     cloud = lg.PointCloud(rng.normal(size=(n, ambient)))
     cfg = lg.ManifoldConfig(2, 3.0, float(rng.uniform(0.5, 1.5)))
     return lg.eigendecompose(lg.build_laplacian(cloud, cfg)), cloud
+
+
+def grad_sup_spectral(cfg, vhat):
+    """grad_sup through the spectral-coefficient route: triple products
+    c_ijk = sum_m e_i[m] e_j[m] e_k[m] weighted by (lambda_k/2 - lambda_j).
+
+    Algebraically identical to the dirac_squared route (two factorizations
+    of the same quadratic form); an independent implementation that
+    cross-checks lg.grad_sup.
+    """
+    vhat = lg.validate_candidate(vhat, cfg.q)
+    dec = cfg.decomposition
+    basis_q = dec.leading(cfg.q)
+    lam_q = dec.nonzero_eigenvalues[: cfg.q]
+    # projection basis: kernel plus leading r, with their eigenvalues
+    proj = np.hstack([dec.kernel(), dec.leading(cfg.r)])
+    lam_proj = np.concatenate(
+        [np.zeros(dec.kernel_dim), dec.nonzero_eigenvalues[: cfg.r]]
+    )
+    triple = np.einsum("mi,mj,mk->ijk", basis_q, basis_q, proj)
+    weights = 0.5 * lam_proj[None, :] - lam_q[:, None]  # (j, k)
+    coeffs = np.einsum("i,j,jk,ijk->k", vhat, vhat, weights, triple)
+    d2 = proj @ coeffs
+    return float(np.sqrt(np.maximum(d2, 0.0).max()))

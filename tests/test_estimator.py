@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 import lapgeo as lg
 from lapgeo.errors import EstimationFailedError
-from lapgeo.estimator import DEGENERATE, dirac_squared, grad_sup, grad_sup_spectral
+from lapgeo.estimator import (
+    DEGENERATE,
+    GRAD_EPS,
+    _mc_candidates,
+    dirac_squared,
+    grad_sup,
+)
 from lapgeo.spectral import operator_from_modes
 
-from conftest import random_decomposition
+from conftest import grad_sup_spectral, random_decomposition
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -191,6 +197,40 @@ class TestEstimateAllDistances:
         for a, b in ((0, 7), (2, 11), (5, 14)):
             single = lg.estimate_distance(cfg, a, b, opt)
             assert d.matrix[a, b] >= single - 1e-9
+
+    def test_exactly_symmetric(self):
+        cloud = lg.sample_uniform_circle(200, seed=9)
+        mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 200 ** -0.25)
+        dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=12))
+        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4)).matrix
+        assert np.array_equal(d, d.T)
+
+    def test_chebyshev_over_monte_carlo_candidates(self):
+        cloud = lg.sample_uniform_circle(40, seed=10)
+        mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 40 ** -0.25)
+        dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=3, r=8))
+        # refinement off: the probed candidates are the Monte-Carlo stream
+        opt = lg.OptimizerConfig(n_samples=80, n_refine=0, seed=5)
+        d = lg.estimate_all_distances(cfg, cloud, opt).matrix
+        ref = lg.gram_distances(cloud).matrix.copy()
+        for vhat in _mc_candidates(cfg.q, opt).T:
+            sup = grad_sup(cfg, vhat)
+            if sup < GRAD_EPS:
+                continue
+            f = dec.leading(cfg.q) @ vhat
+            ref = np.maximum(ref, np.abs(f[:, None] - f[None, :]) / sup)
+        np.fill_diagonal(ref, 0.0)
+        assert np.max(np.abs(d - ref)) <= 1e-12
+
+    def test_all_degenerate_raises(self):
+        dec = lg.eigendecompose(np.diag([0.0, -1e-24]))
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=1, r=1))
+        cloud = lg.PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        opt = lg.OptimizerConfig(n_samples=40, n_refine=2, seed=0)
+        with pytest.raises(EstimationFailedError):
+            lg.estimate_all_distances(cfg, cloud, opt)
 
 
 class TestOraclePlugin:

@@ -52,6 +52,10 @@ def test_distance_matrix_roundtrip_is_bitwise(tmp_path):
     d = lg.DistanceMatrix(m)
     p = tmp_path / "d.csv"
     save_distance_matrix(p, d)
+    # the csv-module layout: 17 significant digits, "\r\n" row ends
+    assert p.read_bytes() == "".join(
+        ",".join(format(x, ".17g") for x in row) + "\r\n" for row in m
+    ).encode()
     back = load_distance_matrix(p)
     assert np.array_equal(back.matrix, d.matrix)
 
