@@ -21,12 +21,14 @@ distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationFailedError, InputError
-from .laplacian import gram_distances
+from .laplacian import squared_distances
 from .spectral import SpectralDecomposition
 from .types import (
     DistanceMatrix,
@@ -43,6 +45,11 @@ DEGENERATE = float("-inf")
 
 NEGATIVITY_TOL = -1e-8
 GRAD_EPS = 1e-12
+
+# Edge of the square point-index tiles the all-pairs estimate is floored
+# in: a tile's TILE x TILE x m difference buffer stays near 1 MB at the
+# m of about 600 embedding columns a default search probes.
+TILE = 16
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,18 @@ class OptimizerConfig:
             raise InputError(f"keep_top must be >= 1, got {self.keep_top}")
 
 
-def _dirac_squared_cols(cfg: DiracConfig, v_cols: np.ndarray) -> np.ndarray:
-    """dirac2 applied to each column of v_cols, (n, m) -> (n, m)."""
+def _dirac_squared_cols(
+    cfg: DiracConfig, v_cols: np.ndarray, lv_cols: np.ndarray
+) -> np.ndarray:
+    """dirac2 applied to each column of v_cols, given lv_cols = L v_cols,
+    (n, m) -> (n, m)."""
     dec = cfg.decomposition
-    vectors = dec.eigenvectors
-    lam = dec.eigenvalues
     lead = dec.leading(cfg.r)
     lam_lead = dec.nonzero_eigenvalues[: cfg.r]
     kernel = dec.kernel()
 
-    lv = vectors @ (lam[:, None] * (vectors.T @ v_cols))
     vsq = v_cols * v_cols
-    x = v_cols * lv
+    x = v_cols * lv_cols
     # L P(v^2): the kernel part of the projection is annihilated by L,
     # so only the leading block contributes.
     term1 = 0.5 * (lead @ (lam_lead[:, None] * (lead.T @ vsq)))
@@ -121,45 +128,70 @@ def dirac_squared(cfg: DiracConfig, v) -> np.ndarray:
         )
     if not np.all(np.isfinite(v)):
         raise InputError("v must be finite")
-    return _dirac_squared_cols(cfg, v[:, None])[:, 0]
+    vectors = cfg.decomposition.eigenvectors
+    # v may be any sample function, so L v goes through the whole spectrum
+    lv = vectors @ (cfg.decomposition.eigenvalues * (vectors.T @ v))
+    return _dirac_squared_cols(cfg, v[:, None], lv[:, None])[:, 0]
 
 
-def _sup_from_dirac_cols(d2_cols: np.ndarray) -> np.ndarray:
-    """Column-wise sqrt of the max clamped coordinate, with the negativity
-    policy: coordinates below NEGATIVITY_TOL are logged, all negatives
-    clamp to zero."""
-    worst = d2_cols.min(initial=0.0)
-    if worst < NEGATIVITY_TOL:
-        log.warning(
-            "clamping %d dirac-squared coordinates below %g (worst %g)",
-            int(np.count_nonzero(d2_cols < NEGATIVITY_TOL)),
-            NEGATIVITY_TOL,
-            worst,
-        )
-    return np.sqrt(np.maximum(d2_cols, 0.0).max(axis=0))
+class _Clamps:
+    """Dirac-squared coordinates below NEGATIVITY_TOL seen over one public
+    call: their count and the worst value, logged once by report()."""
+
+    def __init__(self):
+        self.count = 0
+        self.worst = 0.0
+
+    def sup(self, d2_cols: np.ndarray) -> np.ndarray:
+        """Column-wise sqrt of the max coordinate, negatives clamped to
+        zero; the coordinates below NEGATIVITY_TOL are tallied."""
+        worst = d2_cols.min(initial=0.0)
+        if worst < NEGATIVITY_TOL:
+            self.count += int(np.count_nonzero(d2_cols < NEGATIVITY_TOL))
+            self.worst = min(self.worst, float(worst))
+        return np.sqrt(np.maximum(d2_cols, 0.0).max(axis=0))
+
+    def report(self):
+        if self.count:
+            log.warning(
+                "clamping %d dirac-squared coordinates below %g (worst %g)",
+                self.count,
+                NEGATIVITY_TOL,
+                self.worst,
+            )
 
 
-def _grad_sup_cols(cfg: DiracConfig, vhat_cols: np.ndarray) -> np.ndarray:
-    """Gradient sup-norms for coefficient columns, (q, m) -> (m,)."""
-    v_cols = cfg.decomposition.leading(cfg.q) @ vhat_cols
-    return _sup_from_dirac_cols(_dirac_squared_cols(cfg, v_cols))
+def _candidate_cols(
+    cfg: DiracConfig, vhat_cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample values f = E_q vhat of coefficient columns and their dirac2,
+    (q, m) -> (n, m), (n, m).  L f = E_q (lambda_q * vhat) costs O(nq) per
+    column."""
+    basis_q = cfg.decomposition.leading(cfg.q)
+    lam_q = cfg.decomposition.nonzero_eigenvalues[: cfg.q]
+    f_cols = basis_q @ vhat_cols
+    lf_cols = basis_q @ (lam_q[:, None] * vhat_cols)
+    return f_cols, _dirac_squared_cols(cfg, f_cols, lf_cols)
 
 
 def grad_sup(cfg: DiracConfig, vhat) -> float:
     """sup-norm of the Dirac gradient field of the candidate function
     sum_k vhat_k e_k."""
     vhat = validate_candidate(vhat, cfg.q)
-    return float(_grad_sup_cols(cfg, vhat[:, None])[0])
+    clamps = _Clamps()
+    sup = float(clamps.sup(_candidate_cols(cfg, vhat[:, None])[1])[0])
+    clamps.report()
+    return sup
 
 
 def _objective_cols(
-    cfg: DiracConfig, vhat_cols: np.ndarray, a: int, b: int
+    cfg: DiracConfig, vhat_cols: np.ndarray, a: int, b: int, clamps: _Clamps
 ) -> np.ndarray:
     """Objective for each coefficient column; DEGENERATE where the gradient
     sup vanishes under a non-zero separation."""
     basis_q = cfg.decomposition.leading(cfg.q)
     numer = np.abs((basis_q[a] - basis_q[b]) @ vhat_cols)
-    sups = _grad_sup_cols(cfg, vhat_cols)
+    sups = clamps.sup(_candidate_cols(cfg, vhat_cols)[1])
     out = np.full(vhat_cols.shape[1], DEGENERATE)
     ok = sups >= GRAD_EPS
     out[ok] = numer[ok] / sups[ok]
@@ -182,7 +214,10 @@ def objective(cfg: DiracConfig, vhat, a: int, b: int) -> float:
     """
     _check_pair(cfg, a, b)
     vhat = validate_candidate(vhat, cfg.q)
-    return float(_objective_cols(cfg, vhat[:, None], a, b)[0])
+    clamps = _Clamps()
+    val = float(_objective_cols(cfg, vhat[:, None], a, b, clamps)[0])
+    clamps.report()
+    return val
 
 
 def _mc_candidates(q: int, opt: OptimizerConfig) -> np.ndarray:
@@ -192,12 +227,17 @@ def _mc_candidates(q: int, opt: OptimizerConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (opt.n_samples, q)).T
 
 
-def _pattern_search(score_cols, start: np.ndarray, opt: OptimizerConfig) -> float:
-    """Greedy coordinate ascent with step halving inside the box from start;
-    returns the best score, which is the largest one probed.  Deterministic.
+def _pattern_search(
+    score_cols, start: np.ndarray, start_val: float, opt: OptimizerConfig
+) -> float:
+    """Greedy coordinate ascent with step halving inside the box from start,
+    whose score is start_val; returns the best score, which is the largest
+    one probed.  A point already probed in this ascent is not scored again:
+    its score is at most the current one, so it could not be accepted.
+    Deterministic.
     """
-    cur = start.copy()
-    cur_val = float(score_cols(cur[:, None])[0])
+    cur, cur_val = start.copy(), start_val
+    seen = {tuple(cur.tolist())}
     step = opt.step0
     for _ in range(opt.n_refine):
         improved = False
@@ -205,8 +245,10 @@ def _pattern_search(score_cols, start: np.ndarray, opt: OptimizerConfig) -> floa
             for sign in (1.0, -1.0):
                 cand = cur.copy()
                 cand[k] = np.clip(cand[k] + sign * step, -1.0, 1.0)
-                if cand[k] == cur[k]:
+                key = tuple(cand.tolist())
+                if key in seen:
                     continue
+                seen.add(key)
                 val = float(score_cols(cand[:, None])[0])
                 if val > cur_val:
                     cur, cur_val = cand, val
@@ -225,7 +267,9 @@ def _search(score_cols, q: int, opt: OptimizerConfig) -> float:
     best = float(vals.max())
     order = np.argsort(vals, kind="stable")[::-1][: opt.keep_top]
     for idx in order[vals[order] != DEGENERATE]:
-        best = max(best, _pattern_search(score_cols, cand[:, idx], opt))
+        best = max(
+            best, _pattern_search(score_cols, cand[:, idx], float(vals[idx]), opt)
+        )
     if best == DEGENERATE:
         raise EstimationFailedError(
             "every candidate was degenerate (zero gradient sup)"
@@ -246,7 +290,42 @@ def estimate_distance(
         return 0.0
     if opt.n_samples == 0:
         raise EstimationFailedError("no candidates: n_samples is 0")
-    return _search(lambda c: _objective_cols(cfg, c, a, b), cfg.q, opt)
+    clamps = _Clamps()
+    try:
+        return _search(
+            lambda c: _objective_cols(cfg, c, a, b, clamps), cfg.q, opt
+        )
+    finally:
+        clamps.report()
+
+
+def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray):
+    """dist = max(dist, Chebyshev distance between the rows of emb), in
+    place, for a symmetric dist.
+
+    Works over TILE x TILE blocks of point indices on and above the
+    diagonal; each block's result goes to (A, B) and (B, A), so every entry
+    is written by one block.  The rows of blocks are spread over a thread
+    pool with one worker per usable CPU (numpy releases the GIL in these
+    ufuncs).  max is exact and fl(x - y) = -fl(y - x), so the result does
+    not depend on the worker count."""
+    n, m = emb.shape
+
+    def floor_rows(i0: int):
+        buf = np.empty((TILE, TILE, m))
+        rows = slice(i0, min(i0 + TILE, n))
+        for j0 in range(i0, n, TILE):
+            cols = slice(j0, min(j0 + TILE, n))
+            diff = buf[: rows.stop - i0, : cols.stop - j0]
+            np.subtract(emb[rows, None, :], emb[None, cols, :], out=diff)
+            np.abs(diff, out=diff)
+            block = np.maximum(dist[rows, cols], diff.max(axis=2))
+            dist[rows, cols] = block
+            dist[cols, rows] = block.T
+
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        # list() re-raises a worker's exception here
+        list(pool.map(floor_rows, range(0, n, TILE)))
 
 
 def estimate_all_distances(
@@ -264,17 +343,17 @@ def estimate_all_distances(
         raise InputError(
             f"cloud has {cloud.n} points but decomposition is {dec.n}-dimensional"
         )
-    dist = np.array(gram_distances(cloud).matrix)
+    dist = np.sqrt(squared_distances(cloud.points))
     if opt.n_samples == 0:
         return DistanceMatrix(dist)
 
-    basis_q = dec.leading(cfg.q)
     cols = []
+    clamps = _Clamps()
 
     def embed_cols(vhat_cols: np.ndarray) -> np.ndarray:
         """Embed the non-degenerate columns; returns their global scores."""
-        f_cols = basis_q @ vhat_cols
-        sups = _sup_from_dirac_cols(_dirac_squared_cols(cfg, f_cols))
+        f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
+        sups = clamps.sup(d2_cols)
         ok = sups >= GRAD_EPS
         f = f_cols[:, ok] / sups[ok]
         cols.append(f)
@@ -282,15 +361,18 @@ def estimate_all_distances(
         scores[ok] = f.max(axis=0) - f.min(axis=0)
         return scores
 
-    _search(embed_cols, cfg.q, opt)
-    emb = np.concatenate(cols, axis=1).T.copy()
-    diff = np.empty_like(emb)
-    for a in range(dec.n):
-        np.abs(np.subtract(emb, emb[:, a : a + 1], out=diff), out=diff)
-        np.maximum(dist[a], diff.max(axis=0), out=dist[a])
+    try:
+        _search(embed_cols, cfg.q, opt)
+    finally:
+        clamps.report()
+    # C order, so that a tile reads its points' rows contiguously
+    emb = np.empty((dec.n, sum(f.shape[1] for f in cols)))
+    np.concatenate(cols, axis=1, out=emb)
+    del cols
+    _chebyshev_floor(dist, emb)
     # freed before DistanceMatrix validates, whose n x n temporaries are
     # this function's memory peak
-    del cols, emb, diff
+    del emb
     np.fill_diagonal(dist, 0.0)
     return DistanceMatrix(dist)
 

@@ -10,6 +10,7 @@ losslessly; infinities are written as "inf".
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -58,12 +59,17 @@ def save_distance_matrix(path, dist: DistanceMatrix) -> None:
 def load_distance_matrix(path) -> DistanceMatrix:
     """Read a distance matrix CSV written by save_distance_matrix."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            raw = [row for row in csv.reader(fh) if row]
+        with warnings.catch_warnings():
+            # an empty file is reported below, as an InputError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            m = np.loadtxt(path, delimiter=",", ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    rows = [_parse_row(row, i) for i, row in enumerate(raw, start=1)]
-    return DistanceMatrix(np.asarray(rows))
+    except ValueError as exc:
+        raise InputError(f"{path}: could not parse as numbers: {exc}")
+    if m.size == 0:
+        raise InputError(f"{path} is empty")
+    return DistanceMatrix(m)
 
 
 LOSS_HEADER = ["n", "q_spec", "q_used", "r_used", "seed", "estimate", "oracle", "loss", "status"]

@@ -1,4 +1,5 @@
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ from hypothesis import strategies as st
 
 import lapgeo as lg
 from lapgeo.errors import EstimationFailedError
+import lapgeo.estimator as est
 from lapgeo.estimator import (
     DEGENERATE,
     GRAD_EPS,
+    TILE,
+    _candidate_cols,
+    _chebyshev_floor,
     _mc_candidates,
     dirac_squared,
     grad_sup,
 )
+from lapgeo.laplacian import squared_distances
 from lapgeo.spectral import operator_from_modes
 
 from conftest import grad_sup_spectral, random_decomposition
@@ -27,6 +33,14 @@ def _analytic_circle(n, n_modes):
     vals, modes = lg.analytic_eigenbasis(thetas, n_modes)
     op = operator_from_modes(vals, modes)
     return lg.eigendecompose(op), thetas
+
+
+def _circle(n, seed, q, r):
+    """Laplacian decomposition of n uniform circle samples at h = n^-1/4 / 2."""
+    cloud = lg.sample_uniform_circle(n, seed=seed)
+    mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25)
+    dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
+    return lg.DiracConfig(dec, lg.TruncationParams(q=q, r=r)), cloud
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +76,17 @@ class TestDiracSquared:
         scale = 2.0 / n
         assert np.max(np.abs(d2 - expected)) <= 0.05 * scale
         assert np.max(np.abs(d2 - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n,seed", [(30, 5), (200, 9)])
+    def test_candidate_route_matches_full_spectrum(self, n, seed):
+        # candidates compute L f = E_q (lambda_q * vhat) in the q-mode
+        # subspace; dirac_squared multiplies through the whole spectrum
+        cfg, _ = _circle(n, seed, q=4, r=8)
+        vhat_cols = np.random.default_rng(seed).uniform(-1, 1, (4, 25))
+        f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
+        for f, d2 in zip(f_cols.T, d2_cols.T):
+            full = dirac_squared(cfg, f)
+            assert np.max(np.abs(d2 - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 class TestGradSup:
@@ -232,6 +257,68 @@ class TestEstimateAllDistances:
         with pytest.raises(EstimationFailedError):
             lg.estimate_all_distances(cfg, cloud, opt)
 
+    def test_no_candidate_scored_twice(self, monkeypatch):
+        cfg, cloud = _circle(100, 11, q=4, r=12)
+        opt = lg.OptimizerConfig(seed=6)
+        searches = []
+        search = est._search
+
+        def spy(score_cols, q, opt):
+            scored = []
+            searches.append(scored)
+
+            def counted(vhat_cols):
+                scored.extend(map(tuple, vhat_cols.T.tolist()))
+                return score_cols(vhat_cols)
+
+            return search(counted, q, opt)
+
+        monkeypatch.setattr(est, "_search", spy)
+        lg.estimate_all_distances(cfg, cloud, opt)
+        lg.estimate_distance(cfg, 3, 40, opt)
+        assert len(searches) == 2
+        for scored in searches:
+            # past the Monte-Carlo stream into refinement
+            assert len(scored) > opt.n_samples
+            assert len(set(scored)) == len(scored)
+
+    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE + 1, 3 * TILE + 5])
+    def test_tiled_floor_matches_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        emb = rng.normal(size=(n, 37))
+        chordal = np.sqrt(squared_distances(rng.normal(size=(n, 2))))
+        dist = chordal.copy()
+        _chebyshev_floor(dist, emb)
+        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+        assert np.array_equal(dist, brute)
+
+    def test_floors_the_embedding_brute_force(self, monkeypatch):
+        n = 3 * TILE + 5
+        cfg, cloud = _circle(n, 12, q=4, r=12)
+        embeddings = []
+        floor = est._chebyshev_floor
+
+        def spy(dist, emb):
+            embeddings.append(emb.copy())
+            floor(dist, emb)
+
+        monkeypatch.setattr(est, "_chebyshev_floor", spy)
+        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=2))
+        (emb,) = embeddings
+        chordal = np.sqrt(squared_distances(cloud.points))
+        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+        np.fill_diagonal(brute, 0.0)
+        assert np.array_equal(d.matrix, brute)
+
+    def test_independent_of_worker_count(self, monkeypatch):
+        cfg, cloud = _circle(150, 13, q=4, r=12)
+        opt = lg.OptimizerConfig(seed=3)
+        results = []
+        for cpus in ({0}, {0, 1, 2}, os.sched_getaffinity(0)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
+        assert all(np.array_equal(results[0], r) for r in results[1:])
+
 
 class TestOraclePlugin:
     def test_zero_coefficients_give_zero(self, circle_cfg):
@@ -271,3 +358,20 @@ def test_clamping_is_logged(caplog):
             val = grad_sup(cfg, rng.uniform(-1, 1, size=4))
             assert val >= 0.0 and np.isfinite(val)
     assert "clamping" in caplog.text
+
+
+def test_clamping_is_logged_once_per_estimate(caplog):
+    # the instance of test_clamping_is_logged: each search below clamps in
+    # over 400 of its scoring calls
+    thetas = lg.sample_circle_angles(40, seed=2)
+    vals, modes = lg.analytic_eigenbasis(thetas, 8)
+    dec = lg.eigendecompose(operator_from_modes(vals, modes))
+    cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=8))
+    cloud = lg.embed(thetas)
+    opt = lg.OptimizerConfig(seed=0)
+    with caplog.at_level(logging.WARNING, logger="lapgeo"):
+        for _ in range(2):
+            lg.estimate_all_distances(cfg, cloud, opt)
+        lg.estimate_distance(cfg, 0, 7, opt)
+    clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+    assert len(clamps) == 3

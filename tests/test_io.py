@@ -69,6 +69,25 @@ def test_distance_matrix_roundtrip_keeps_inf(tmp_path):
     assert np.isinf(back.matrix[0, 1])
 
 
+def test_load_distance_matrix_rejects_malformed_cell(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("0,1\r\n1,oops\r\n")
+    with pytest.raises(InputError, match="could not parse"):
+        load_distance_matrix(p)
+
+
+def test_load_distance_matrix_rejects_empty(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("")
+    with pytest.raises(InputError, match="empty"):
+        load_distance_matrix(p)
+
+
+def test_load_distance_matrix_rejects_missing_file(tmp_path):
+    with pytest.raises(InputError, match="cannot read"):
+        load_distance_matrix(tmp_path / "missing.csv")
+
+
 def test_write_loss_csv_schema(tmp_path):
     p = tmp_path / "loss.csv"
     rows = [
