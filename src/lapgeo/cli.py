@@ -71,10 +71,10 @@ def _cmd_loss(args) -> int:
         print(f"lapgeo: cannot read config: {exc}", file=sys.stderr)
         return 1
     cfg = ExperimentConfig.from_dict(data)
-    run_loss_experiment(cfg)
     if cfg.output_path is None:
-        print("lapgeo: config has no output_path; nothing written", file=sys.stderr)
+        print("lapgeo: config has no output_path; nothing to write", file=sys.stderr)
         return 1
+    run_loss_experiment(cfg)
     return 0
 
 

@@ -2,28 +2,36 @@
 on the circle, comparing the plug-in spectral estimate against the
 resolution-matched oracle distance for the first sample pair.
 
-Replications run concurrently (one task per (n, seed), sharing the
-eigendecomposition across q-specs); rows are buffered and written in
-deterministic (n, q-spec, seed) order regardless of completion order.
+Replications run one after another, one (n, seed) cell at a time, each
+sharing its eigendecomposition across q-specs; rows are buffered and
+written in deterministic (n, q-spec, seed) order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circle import circle_geodesic, embed, q_resolved_distance, sample_circle_angles
 from .errors import InputError, NoAdmissibleQError, NumericalError
-from .estimator import DiracConfig, OptimizerConfig, oracle_plugin_estimate
+from .estimator import DiracConfig, oracle_plugin_estimate
 from .io import write_loss_csv
 from .laplacian import build_laplacian
 from .spectral import eigendecompose, select_q
 from .types import ManifoldConfig, TruncationParams
 
 ADAPTIVE = "adaptive"
+
+
+def _is_int(x) -> bool:
+    # JSON true/false parse as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
 
 
 @dataclass(frozen=True)
@@ -45,43 +53,59 @@ class ExperimentConfig:
     bandwidth_rule: object = field(default_factory=lambda: {"c": 0.5, "alpha": 0.25})
     n_seeds: int = 20
     base_seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_path: str | None = None
 
     def __post_init__(self):
         if self.manifold != "circle":
             raise InputError(f"unknown manifold {self.manifold!r}; only 'circle' is available")
+        if not isinstance(self.n_values, (tuple, list)) or not all(map(_is_int, self.n_values)):
+            raise InputError(f"n_values must be a list of ints, got {self.n_values!r}")
         if len(self.n_values) == 0 or list(self.n_values) != sorted(set(self.n_values)):
             raise InputError("n_values must be non-empty and strictly increasing")
         if min(self.n_values) < 4:
             raise InputError("n_values entries must be at least 4")
-        if len(self.q_values) == 0:
-            raise InputError("q_values must be non-empty")
+        if not isinstance(self.q_values, (tuple, list)) or len(self.q_values) == 0:
+            raise InputError(f"q_values must be a non-empty list, got {self.q_values!r}")
         for q in self.q_values:
-            if q != ADAPTIVE and (not isinstance(q, int) or q < 1):
+            if q != ADAPTIVE and (not _is_int(q) or q < 1):
                 raise InputError(f"q_values entries must be positive ints or {ADAPTIVE!r}, got {q!r}")
+        if not _is_real(self.r_rule):
+            raise InputError(f"r_rule must be an int or a fraction, got {self.r_rule!r}")
         if isinstance(self.r_rule, float) and not (0 < self.r_rule < 1):
             raise InputError("fractional r_rule must be in (0, 1)")
         if isinstance(self.r_rule, int) and self.r_rule < 1:
             raise InputError("fixed r_rule must be >= 1")
         if isinstance(self.bandwidth_rule, dict):
-            if set(self.bandwidth_rule) != {"c", "alpha"} or self.bandwidth_rule["c"] <= 0:
+            if (set(self.bandwidth_rule) != {"c", "alpha"}
+                    or not all(map(_is_real, self.bandwidth_rule.values()))
+                    or not self.bandwidth_rule["c"] > 0):
                 raise InputError('bandwidth_rule dict must be {"c": >0, "alpha": ...}')
+        elif not isinstance(self.bandwidth_rule, (tuple, list)) or not all(
+            _is_real(h) and h > 0 for h in self.bandwidth_rule
+        ):
+            raise InputError(
+                f"bandwidth_rule must be a dict or a list of positive numbers, "
+                f"got {self.bandwidth_rule!r}"
+            )
         elif len(self.bandwidth_rule) != len(self.n_values):
             raise InputError("explicit bandwidth list must match n_values in length")
-        if self.n_seeds < 1:
-            raise InputError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if not _is_int(self.n_seeds) or self.n_seeds < 1:
+            raise InputError(f"n_seeds must be an int >= 1, got {self.n_seeds!r}")
+        if not _is_int(self.base_seed) or self.base_seed < 0:
+            raise InputError(f"base_seed must be an int >= 0, got {self.base_seed!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise InputError(f"output_path must be a string, got {self.output_path!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise InputError(f"config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise InputError(f"unknown config fields: {sorted(unknown)}")
-        if "optimizer" in data and isinstance(data["optimizer"], dict):
-            data["optimizer"] = OptimizerConfig(**data["optimizer"])
         for key in ("n_values", "q_values"):
-            if key in data:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
         return cls(**data)
 
@@ -145,9 +169,7 @@ def run_loss_experiment(cfg: ExperimentConfig):
     mean row per (n, q-spec) group) and writes them to cfg.output_path if
     set."""
     seeds = [cfg.base_seed + i for i in range(cfg.n_seeds)]
-    tasks = [(n, seed) for n in cfg.n_values for seed in seeds]
-    with ThreadPoolExecutor() as pool:
-        results = dict(zip(tasks, pool.map(lambda t: _run_cell(cfg, *t), tasks), strict=True))
+    results = {(n, seed): _run_cell(cfg, n, seed) for n in cfg.n_values for seed in seeds}
 
     ordered = []
     for n in cfg.n_values:

@@ -2,8 +2,10 @@
 
 The operator acts on sample functions f by differences,
 (Lf)_i = s * sum_j w_ij (f_j - f_i) with w_ij = exp(-|x_i - x_j|^2 / 4h^2)
-and s = vol / (2 sqrt(pi) n h^(2+d)), so it is symmetric, has zero row
-sums, and is negative semidefinite by construction.
+and s = vol / ((4 pi)^(d/2) n h^(2+d)), so it is symmetric, has zero row
+sums, and is negative semidefinite by construction.  (4 pi)^(d/2) is the
+heat-kernel normalisation in intrinsic dimension d; for d = 1 it equals
+2 sqrt(pi) to the last bit.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
     d2 = squared_distances(cloud.points)
     w = np.exp(-d2 / (4.0 * h * h))
     np.fill_diagonal(w, 0.0)
-    s = cfg.volume / (2.0 * np.sqrt(np.pi) * cloud.n * h ** (2 + cfg.intrinsic_dim))
+    d = cfg.intrinsic_dim
+    s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
     m = s * w
     np.fill_diagonal(m, -m.sum(axis=1))
     return GraphLaplacian(m)

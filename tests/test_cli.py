@@ -179,7 +179,6 @@ class TestLossExperimentVerb:
             "n_values": [10],
             "q_values": [5, "adaptive"],
             "n_seeds": 2,
-            "optimizer": {"n_samples": 20, "n_refine": 2, "seed": 0},
             "output_path": str(out),
         }
         cfg_path = tmp_path / "cfg.json"
@@ -199,11 +198,30 @@ class TestLossExperimentVerb:
         cfg_path.write_text(json.dumps({"grid": [10]}))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
 
-    def test_config_without_output_path_exits_1(self, tmp_path):
+    def test_config_without_output_path_exits_1(self, tmp_path, monkeypatch):
+        def sweep(cfg):
+            pytest.fail("the sweep ran although nothing could be written")
+
+        monkeypatch.setattr("lapgeo.cli.run_loss_experiment", sweep)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"n_values": [10], "n_seeds": 1,
-                                        "optimizer": {"n_samples": 5, "n_refine": 1}}))
+        cfg_path.write_text(json.dumps({"n_values": [10], "n_seeds": 1}))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1, 2],
+            {"n_values": 5},
+            {"n_seeds": "3"},
+            {"bandwidth_rule": 0.3},
+            {"r_rule": "x"},
+        ],
+    )
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+        assert "lapgeo: input error:" in capsys.readouterr().err
 
 
 def test_console_script_installed():

@@ -7,15 +7,12 @@ import lapgeo as lg
 from lapgeo.errors import InputError
 from lapgeo.harness import ADAPTIVE
 
-FAST_OPT = lg.OptimizerConfig(n_samples=20, n_refine=2, seed=0)
-
 
 def _cfg(**kw):
     base = dict(
         n_values=(10,),
         q_values=(5,),
         n_seeds=2,
-        optimizer=FAST_OPT,
     )
     base.update(kw)
     return lg.ExperimentConfig(**base)
@@ -57,22 +54,38 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             _cfg(q_values=("sometimes",))
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"q_values": (True,)},
+            {"bandwidth_rule": {"c": "0.5", "alpha": 0.25}},
+            {"bandwidth_rule": [-0.3]},
+            {"base_seed": -1},
+            {"base_seed": 1.5},
+            {"output_path": 3},
+        ],
+    )
+    def test_rejects_malformed_fields(self, field):
+        with pytest.raises(InputError):
+            _cfg(**field)
+
     def test_from_dict_roundtrip(self):
         cfg = lg.ExperimentConfig.from_dict(
             {
                 "n_values": [10, 20],
                 "q_values": [5, "adaptive"],
                 "n_seeds": 3,
-                "optimizer": {"n_samples": 10, "n_refine": 1, "seed": 4},
             }
         )
         assert cfg.n_values == (10, 20)
         assert cfg.q_values == (5, "adaptive")
-        assert cfg.optimizer.seed == 4
+        assert cfg.n_seeds == 3
 
     def test_from_dict_rejects_unknown_field(self):
-        with pytest.raises(InputError, match="unknown config fields"):
-            lg.ExperimentConfig.from_dict({"grid": [10]})
+        # optimizer was once a field; the sweep never searched, so it is gone
+        for data in ({"grid": [10]}, {"optimizer": {"n_samples": 10, "seed": 4}}):
+            with pytest.raises(InputError, match="unknown config fields"):
+                lg.ExperimentConfig.from_dict(data)
 
 
 class TestRunLossExperiment:

@@ -64,6 +64,31 @@ def test_offdiag_couplings_decay_with_bandwidth():
     assert w[0] > w[1] > w[2]
 
 
+def test_circle_scale_is_bitwise_the_d1_constant():
+    # (4 pi)^(1/2) == 2 sqrt(pi) in floating point, so d = 1 operators are
+    # unchanged by the general heat-kernel constant
+    cloud = lg.sample_uniform_circle(50, seed=3)
+    h = 0.4
+    lap = lg.build_laplacian(cloud, _cfg(h=h)).matrix
+    d2 = squared_distances(cloud.points)
+    w = np.exp(-d2 / (4.0 * h * h))
+    np.fill_diagonal(w, 0.0)
+    old = (2 * np.pi / (2.0 * np.sqrt(np.pi) * 50 * h ** 3)) * w
+    np.fill_diagonal(old, -old.sum(axis=1))
+    assert np.array_equal(lap, old)
+
+
+def test_sphere_first_eigenvalues_near_minus_two():
+    # the l = 1 eigenspace of the Laplace-Beltrami operator on the unit
+    # 2-sphere has eigenvalue -l(l + 1) = -2, multiplicity 3
+    n = 500
+    x = np.random.default_rng(0).standard_normal((n, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    cfg = lg.ManifoldConfig(2, 4 * np.pi, 0.5 * n ** (-1 / 6))
+    dec = lg.eigendecompose(lg.build_laplacian(lg.PointCloud(x), cfg))
+    assert np.allclose(dec.nonzero_eigenvalues[:3], -2.0, rtol=0.25, atol=0.0)
+
+
 @given(clouds)
 def test_row_sums_vanish(pts):
     lap = lg.build_laplacian(lg.PointCloud(pts), _cfg(d=pts.shape[1]))
