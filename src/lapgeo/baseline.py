@@ -31,8 +31,6 @@ class NeighborGraph:
     rather than from a dense mask.
     """
 
-    n: int
-    h_graph: float
     adjacency: csr_matrix
 
     def edge_list(self):
@@ -58,7 +56,7 @@ def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     adjacency = csr_matrix(
         (dist[rows, cols], (rows, cols)), shape=(cloud.n, cloud.n)
     )
-    return NeighborGraph(n=cloud.n, h_graph=h_graph, adjacency=adjacency)
+    return NeighborGraph(adjacency)
 
 
 def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:

@@ -3,8 +3,10 @@
 Verbs:
   loss-experiment --config cfg.json
   estimate --input points.csv --dim D --volume V --bandwidth H
-           (--q Q | --adaptive) --r R [--epsilon E] --seed S --output out.csv
+           (--q Q | --adaptive [--epsilon E]) --r R --seed S --output out.csv
   baseline --input points.csv --radius H --output out.csv
+
+Flags are checked before the input is read; --epsilon needs --adaptive.
 
 Exit codes: 0 success, 1 input error (files, flags, malformed data),
 2 numerical failure (no admissible q, degenerate estimation).
@@ -50,9 +52,9 @@ def _build_parser() -> _Parser:
     group.add_argument("--q", type=int, help="fixed linear truncation")
     group.add_argument("--adaptive", action="store_true", help="choose q from the spectrum")
     est.add_argument("--r", required=True, type=int, help="quadratic truncation")
-    est.add_argument("--epsilon", type=float, default=0.0, help="adaptive gap slack")
+    est.add_argument("--epsilon", type=float, default=None, help="--adaptive gap slack, >= 0")
     est.add_argument("--seed", required=True, type=int, help="optimizer seed")
-    est.add_argument("--samples", type=int, default=200, help="Monte-Carlo candidates")
+    est.add_argument("--samples", type=int, default=200, help="Monte-Carlo candidates, >= 1")
     est.add_argument("--refine", type=int, default=12, help="refinement sweeps")
     est.add_argument("--output", required=True, help="distance matrix CSV")
 
@@ -79,14 +81,16 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cloud = load_point_cloud(args.input)
+    if args.epsilon is not None and not args.adaptive:
+        raise InputError("--epsilon applies only with --adaptive")
     manifold = ManifoldConfig(args.dim, args.volume, args.bandwidth)
+    opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
+    cloud = load_point_cloud(args.input)
     dec = eigendecompose(build_laplacian(cloud, manifold))
     r = args.r
-    q = select_q(dec, r, args.epsilon) if args.adaptive else args.q
-    dirac = DiracConfig(dec, TruncationParams(q, r, args.epsilon))
+    q = select_q(dec, r, args.epsilon or 0.0) if args.adaptive else args.q
+    dirac = DiracConfig(dec, TruncationParams(q, r))
     print(f"q={q} r={r} rank={dec.rank}", file=sys.stderr)
-    opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
     dist = estimate_all_distances(dirac, cloud, opt)
     save_distance_matrix(args.output, dist)
     return 0

@@ -51,6 +51,9 @@ GRAD_EPS = 1e-12
 # m of about 600 embedding columns a default search probes.
 TILE = 16
 
+# First coordinate step of the pattern search, a quarter of the box edge.
+STEP0 = 0.5
+
 
 @dataclass(frozen=True)
 class DiracConfig:
@@ -78,23 +81,20 @@ class DiracConfig:
 class OptimizerConfig:
     """Monte-Carlo plus pattern-search settings.
 
-    n_samples = 0 disables sampling (refinement-only or no-op callers);
-    keep_top bounds how many candidates get refined.
+    n_samples >= 1 seeded draws start the search; keep_top bounds how many
+    of them get refined, by n_refine sweeps whose first step is STEP0.
     """
 
     n_samples: int = 200
     n_refine: int = 12
-    step0: float = 0.5
     seed: int = 0
     keep_top: int = 5
 
     def __post_init__(self):
-        if self.n_samples < 0:
-            raise InputError(f"n_samples must be >= 0, got {self.n_samples}")
+        if self.n_samples < 1:
+            raise InputError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.n_refine < 0:
             raise InputError(f"n_refine must be >= 0, got {self.n_refine}")
-        if not (0.0 < self.step0 <= 2.0):
-            raise InputError(f"step0 must be in (0, 2], got {self.step0}")
         if self.keep_top < 1:
             raise InputError(f"keep_top must be >= 1, got {self.keep_top}")
 
@@ -238,7 +238,7 @@ def _pattern_search(
     """
     cur, cur_val = start.copy(), start_val
     seen = {tuple(cur.tolist())}
-    step = opt.step0
+    step = STEP0
     for _ in range(opt.n_refine):
         improved = False
         for k in range(cur.shape[0]):
@@ -288,8 +288,6 @@ def estimate_distance(
     _check_pair(cfg, a, b)
     if a == b:
         return 0.0
-    if opt.n_samples == 0:
-        raise EstimationFailedError("no candidates: n_samples is 0")
     clamps = _Clamps()
     try:
         return _search(
@@ -344,9 +342,6 @@ def estimate_all_distances(
             f"cloud has {cloud.n} points but decomposition is {dec.n}-dimensional"
         )
     dist = np.sqrt(squared_distances(cloud.points))
-    if opt.n_samples == 0:
-        return DistanceMatrix(dist)
-
     cols = []
     clamps = _Clamps()
 

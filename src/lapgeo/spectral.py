@@ -126,8 +126,8 @@ def select_q(dec: SpectralDecomposition, r: int, epsilon: float = 0.0) -> int:
     """
     if not (1 <= r <= dec.rank):
         raise InputError(f"need 1 <= r <= rank={dec.rank}, got r={r}")
-    if epsilon < 0:
-        raise InputError(f"epsilon must be >= 0, got {epsilon}")
+    if not (0 <= epsilon < np.inf):
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
     mags = np.abs(dec.nonzero_eigenvalues)
     # |lambda_q| is non-decreasing in q, so scan from r downward.
     for q in range(r, 0, -1):

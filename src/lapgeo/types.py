@@ -70,7 +70,7 @@ def validate_point_cloud(raw) -> PointCloud:
 @dataclass(frozen=True)
 class ManifoldConfig:
     """Known manifold data entering the Laplacian scale factor: intrinsic
-    dimension d, volume, and kernel bandwidth h."""
+    dimension d, volume, and kernel bandwidth h, both positive and finite."""
 
     intrinsic_dim: int
     volume: float
@@ -79,16 +79,16 @@ class ManifoldConfig:
     def __post_init__(self):
         if int(self.intrinsic_dim) != self.intrinsic_dim or self.intrinsic_dim < 1:
             raise InputError(f"intrinsic_dim must be a positive integer, got {self.intrinsic_dim}")
-        if not (self.volume > 0):
-            raise InputError(f"volume must be positive, got {self.volume}")
-        if not (self.bandwidth > 0):
-            raise InputError(f"invalid bandwidth: must be positive, got {self.bandwidth}")
+        if not (0 < self.volume < np.inf):
+            raise InputError(f"volume must be positive and finite, got {self.volume}")
+        if not (0 < self.bandwidth < np.inf):
+            raise InputError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 class GraphLaplacian:
     """Dense symmetric negative-semidefinite operator on sample functions.
 
-    Validates symmetry, zero row sums, and negative semidefiniteness.
+    Validates finite entries, symmetry, zero row sums, and semidefiniteness.
     Row sums of zero plus a non-positive diagonal make the matrix
     diagonally dominant, which proves NSD by Gershgorin's theorem without
     an eigendecomposition; matrices that are not dominant fall back to an
@@ -100,6 +100,9 @@ class GraphLaplacian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"Laplacian must be square, got shape {m.shape}")
         scale = np.max(np.abs(m)) if m.size else 0.0
+        # max propagates NaN, so one test covers NaN and inf entries
+        if not np.isfinite(scale):
+            raise InputError("Laplacian entries must be finite")
         if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
             raise InputError("Laplacian must be symmetric (1e-12 relative)")
         row_sums = m.sum(axis=1)
@@ -130,19 +133,15 @@ def _is_nsd(m: np.ndarray, scale: float) -> bool:
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Spectral truncation depths: q leading modes for the linear part,
-    r >= q for the quadratic part, and the gap slack epsilon used by the
-    adaptive rule."""
+    """Spectral truncation depths: q leading modes for the linear part and
+    r >= q for the quadratic part; select_q chooses q adaptively."""
 
     q: int
     r: int
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not (1 <= self.q <= self.r):
             raise InputError(f"need 1 <= q <= r, got q={self.q}, r={self.r}")
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 class DistanceMatrix:

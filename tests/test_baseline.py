@@ -126,4 +126,4 @@ class TestShortestPathDistances:
         assert np.array_equal(np.isinf(d), np.isinf(unquantised))
         finite = np.isfinite(d)
         assert np.all(d[finite] % quantum == 0.0)
-        assert np.all(np.abs(d - unquantised)[finite] <= (g.n - 1) * quantum / 2)
+        assert np.all(np.abs(d - unquantised)[finite] <= (cloud.n - 1) * quantum / 2)

@@ -147,6 +147,39 @@ class TestEstimateVerb:
             )
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--volume", "inf", "--bandwidth", "0.3", "--q", "2"],
+            # finite flags whose kernel scale overflows
+            ["--volume", "1e308", "--bandwidth", "1e-100", "--q", "2"],
+            ["--volume", "6.28", "--bandwidth", "0.3", "--adaptive", "--epsilon", "nan"],
+        ],
+    )
+    def test_non_finite_data_is_input_error(self, tmp_path, capsys, flags):
+        pts = tmp_path / "pts.csv"
+        _write_circle(pts)
+        argv = ["estimate", "--input", str(pts), "--dim", "1", *flags,
+                "--r", "6", "--seed", "0", "--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert "lapgeo: input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--q", "2", "--samples", "0"], ["--q", "4", "--epsilon", "0.5"]]
+    )
+    def test_useless_flags_rejected_before_reading_input(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        def load(path):
+            pytest.fail("the input was read although the flags were unusable")
+
+        monkeypatch.setattr("lapgeo.cli.load_point_cloud", load)
+        argv = ["estimate", "--input", str(tmp_path / "pts.csv"), "--dim", "1",
+                "--volume", "6.28", "--bandwidth", "0.3", *flags,
+                "--r", "6", "--seed", "0", "--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert "lapgeo: input error:" in capsys.readouterr().err
+
 
 class TestBaselineVerb:
     def test_writes_distances(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lapgeo as lg
-from lapgeo.errors import EstimationFailedError
+from lapgeo.errors import EstimationFailedError, InputError
 import lapgeo.estimator as est
 from lapgeo.estimator import (
     DEGENERATE,
@@ -187,17 +187,10 @@ class TestEstimateDistance:
 
 
 class TestEstimateAllDistances:
-    def test_zero_samples_gives_euclidean(self):
-        cloud = lg.sample_uniform_circle(12, seed=6)
-        mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 12 ** -0.25)
-        dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
-        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=6))
-        opt = lg.OptimizerConfig(n_samples=0, n_refine=0, seed=0)
-        d = lg.estimate_all_distances(cfg, cloud, opt)
-        euclid = np.linalg.norm(
-            cloud.points[:, None, :] - cloud.points[None, :, :], axis=2
-        )
-        assert np.allclose(d.matrix, euclid, atol=1e-12)
+    def test_zero_samples_is_input_error(self):
+        # the chordal matrix alone is gram_distances; a search needs a draw
+        with pytest.raises(InputError, match="n_samples"):
+            lg.OptimizerConfig(n_samples=0, n_refine=0, seed=0)
 
     def test_dominates_euclidean(self):
         cloud = lg.sample_uniform_circle(15, seed=7)

@@ -123,6 +123,11 @@ class TestSelectQ:
         with pytest.raises(NoAdmissibleQError):
             lg.select_q(dec, r=2)
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_rejects_epsilon_outside_zero_to_inf(self, epsilon):
+        with pytest.raises(InputError, match="epsilon"):
+            lg.select_q(self._dec_1_to_10(), r=10, epsilon=epsilon)
+
     def test_monotone_in_r(self):
         dec = self._dec_1_to_10()
         qs = []

@@ -59,12 +59,23 @@ class TestManifoldConfig:
         with pytest.raises(InputError):
             lg.ManifoldConfig(1, -1.0, 0.5)
 
+    @pytest.mark.parametrize("volume, bandwidth", [(np.inf, 0.5), (1.0, np.inf)])
+    def test_rejects_infinite_volume_and_bandwidth(self, volume, bandwidth):
+        with pytest.raises(InputError, match="finite"):
+            lg.ManifoldConfig(1, volume, bandwidth)
+
 
 class TestGraphLaplacian:
     def test_accepts_valid(self):
         m = np.array([[-1.0, 1.0], [1.0, -1.0]])
         lap = lg.GraphLaplacian(m)
         assert lap.n == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.array([[-bad, bad], [bad, -bad]])
+        with pytest.raises(InputError, match="entries must be finite"):
+            lg.GraphLaplacian(m)
 
     def test_rejects_asymmetric(self):
         m = np.array([[-1.0, 1.0], [0.5, -0.5]])
@@ -84,10 +95,6 @@ class TestGraphLaplacian:
 
 
 class TestTruncationParams:
-    def test_defaults(self):
-        t = lg.TruncationParams(q=2, r=5)
-        assert t.epsilon == 0.0
-
     def test_rejects_q_above_r(self):
         with pytest.raises(InputError):
             lg.TruncationParams(q=6, r=5)
@@ -95,10 +102,6 @@ class TestTruncationParams:
     def test_rejects_nonpositive_q(self):
         with pytest.raises(InputError):
             lg.TruncationParams(q=0, r=5)
-
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(InputError):
-            lg.TruncationParams(q=1, r=5, epsilon=-1.0)
 
 
 class TestDistanceMatrix:
