@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import InputError
 from .laplacian import squared_distances
 from .types import DistanceMatrix, PointCloud
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,10 @@ def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     """Edges between all pairs with Euclidean distance strictly below
     h_graph.  A zero radius yields the empty graph: every off-diagonal
     shortest-path entry comes out +inf."""
+    # scipy is imported here and in shortest_path_distances only, so that
+    # `import lapgeo` and the other verbs do not pay for it
+    from scipy.sparse import csr_matrix
+
     if not (h_graph >= 0):
         raise InputError(f"h_graph must be non-negative, got {h_graph}")
     dist = np.sqrt(squared_distances(cloud.points))
@@ -69,6 +75,8 @@ def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:
     zero slack.  Each entry differs from the unquantised shortest path by
     at most (edges on the path) x quantum / 2.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     adjacency = graph.adjacency.copy()
     total = float(adjacency.sum())
     if total > 0:

@@ -105,20 +105,19 @@ def q_resolved_distance(t0: float, t1: float, q: int) -> float:
     tolerance.
     """
     coeffs = distance_fourier_coeffs(t0, q)
+    # one product per point: a joint 2-row product rounds differently
+    f0 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t0], q)[1][0]
+    f1 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t1], q)[1][0]
+
     ks = np.arange(q) // 2 + 1
-    is_sin = np.arange(q) % 2 == 0
-
-    def f(t):
-        phases = np.multiply.outer(ks, t)  # (q,) x scalar
-        basis = np.where(is_sin, np.sin(phases), np.cos(phases)) / SQRT_PI
-        return np.pi / 2.0 + coeffs @ basis
-
     grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
     phases = np.outer(ks, grid)
-    dbasis = np.where(is_sin[:, None], np.cos(phases), -np.sin(phases))
+    dbasis = np.empty_like(phases)
+    dbasis[0::2] = np.cos(phases[0::2])  # sin rows
+    dbasis[1::2] = -np.sin(phases[1::2])  # cos rows
     dbasis *= ks[:, None] / SQRT_PI
     sup_grad = np.max(np.abs(coeffs @ dbasis))
-    return float(np.abs(f(t0) - f(t1)) / max(sup_grad, 1.0))
+    return float(np.abs(f0 - f1) / max(sup_grad, 1.0))
 
 
 def covering_radius_circle(thetas) -> float:

@@ -2,9 +2,10 @@
 on the circle, comparing the plug-in spectral estimate against the
 resolution-matched oracle distance for the first sample pair.
 
-Replications run one after another, one (n, seed) cell at a time, each
-sharing its eigendecomposition across q-specs; rows are buffered and
-written in deterministic (n, q-spec, seed) order.
+Replications run one after another, one (n, seed) cell at a time; each
+cell computes its eigendecomposition and geodesic target once and shares
+them across q-specs.  The adaptive q is whatever select_q returns; rows
+are ordered (n, q-spec, seed) and written once the sweep ends.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import circle_geodesic, embed, q_resolved_distance, sample_circle_angles
-from .errors import InputError, NoAdmissibleQError, NumericalError
+from .errors import InputError, NoAdmissibleQError
 from .estimator import DiracConfig, oracle_plugin_estimate
 from .io import write_loss_csv
 from .laplacian import build_laplacian
@@ -123,13 +124,14 @@ class ExperimentConfig:
 
 
 def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
-    """All q-spec rows for one (n, seed) replication, sharing the spectrum."""
+    """All q-spec rows for one (n, seed) replication, sharing the spectrum
+    and the geodesic target."""
     thetas = sample_circle_angles(n, seed)
     cloud = embed(thetas)
     manifold = ManifoldConfig(intrinsic_dim=1, volume=2.0 * np.pi, bandwidth=cfg.h_for(n))
     dec = eigendecompose(build_laplacian(cloud, manifold))
     r = min(cfg.r_for(n), dec.rank)
-    lam = dec.nonzero_eigenvalues[:r]
+    target = circle_geodesic(thetas[0], thetas)
     rows = []
     for q_spec in cfg.q_values:
         row = {
@@ -142,14 +144,13 @@ def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
                 q_used = select_q(dec, r, epsilon=0.0)
             except NoAdmissibleQError:
                 row["status"] = "no-admissible-q"
-                rows.append((row, lam))
+                rows.append(row)
                 continue
         else:
             # a fixed q above r cannot be represented; clamp and disclose
             # through the separate q_spec/q_used columns
             q_used = min(q_spec, r)
         dirac = DiracConfig(dec, TruncationParams(q_used, r))
-        target = circle_geodesic(thetas[0], thetas)
         coeffs = dec.leading(q_used).T @ target
         estimate = oracle_plugin_estimate(dirac, coeffs, 0, 1)
         oracle = q_resolved_distance(thetas[0], thetas[1], q_used)
@@ -160,7 +161,7 @@ def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
             row["estimate"] = float(estimate)
             row["oracle"] = float(oracle)
             row["loss"] = abs(float(estimate) - float(oracle))
-        rows.append((row, lam))
+        rows.append(row)
     return rows
 
 
@@ -169,21 +170,11 @@ def run_loss_experiment(cfg: ExperimentConfig):
     mean row per (n, q-spec) group) and writes them to cfg.output_path if
     set."""
     seeds = [cfg.base_seed + i for i in range(cfg.n_seeds)]
-    results = {(n, seed): _run_cell(cfg, n, seed) for n in cfg.n_values for seed in seeds}
-
     ordered = []
     for n in cfg.n_values:
-        for qi, q_spec in enumerate(cfg.q_values):
-            group = []
-            for seed in seeds:
-                row, lam = results[(n, seed)][qi]
-                if row["q_spec"] == ADAPTIVE and row["status"] == "ok":
-                    # the recorded spectrum must still admit the recorded q
-                    if not 2.0 * abs(lam[row["q_used"] - 1]) < abs(lam[row["r_used"] - 1]):
-                        raise NumericalError(
-                            f"adaptive q={row['q_used']} fails its inequality at write time"
-                        )
-                group.append(row)
+        cells = [_run_cell(cfg, n, seed) for seed in seeds]
+        # cells[seed][q-spec] -> groups[q-spec][seed]
+        for q_spec, group in zip(cfg.q_values, zip(*cells)):
             ordered.extend(group)
             losses = [r["loss"] for r in group if r["status"] == "ok"]
             ordered.append({

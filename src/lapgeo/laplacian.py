@@ -42,6 +42,9 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
     np.fill_diagonal(w, 0.0)
     d = cfg.intrinsic_dim
     s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
-    m = s * w
-    np.fill_diagonal(m, -m.sum(axis=1))
+    # a scale that overflows leaves inf or NaN entries, which GraphLaplacian
+    # rejects with an InputError; numpy need not warn about them first
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = s * w
+        np.fill_diagonal(m, -m.sum(axis=1))
     return GraphLaplacian(m)

@@ -3,6 +3,8 @@ import pytest
 
 import lapgeo as lg
 from lapgeo.circle import (
+    GRID_SIZE,
+    TWO_PI,
     covering_radius_circle,
     distance_fourier_coeffs,
     equally_spaced_angles,
@@ -128,7 +130,32 @@ class TestDistanceFourierCoeffs:
                 assert abs(c[j]) < 1e-10
 
 
+def _q_resolved_two_trig(t0, t1, q):
+    """Reference q_resolved_distance that evaluates sin and cos of every
+    phase and keeps one per row by np.where."""
+    coeffs = distance_fourier_coeffs(t0, q)
+    ks = np.arange(q) // 2 + 1
+    is_sin = np.arange(q) % 2 == 0
+
+    def f(t):
+        phases = np.multiply.outer(ks, t)
+        basis = np.where(is_sin, np.sin(phases), np.cos(phases)) / SQRT_PI
+        return np.pi / 2.0 + coeffs @ basis
+
+    phases = np.outer(ks, np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False))
+    dbasis = np.where(is_sin[:, None], np.cos(phases), -np.sin(phases))
+    dbasis *= ks[:, None] / SQRT_PI
+    sup_grad = np.max(np.abs(coeffs @ dbasis))
+    return float(np.abs(f(t0) - f(t1)) / max(sup_grad, 1.0))
+
+
 class TestQResolvedDistance:
+    def test_bitwise_equal_to_two_trig_reference(self):
+        rng = np.random.default_rng(31)
+        for q in range(1, 30):  # odd q ends on a sin row
+            for t0, t1 in rng.uniform(0, 2 * np.pi, size=(4, 2)):
+                assert q_resolved_distance(t0, t1, q) == _q_resolved_two_trig(t0, t1, q)
+
     def test_includes_all_requested_terms(self):
         # with two coefficients the cosine term carries everything at t0=0
         val = q_resolved_distance(0.0, np.pi, 2)

@@ -1,5 +1,8 @@
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +264,16 @@ def test_console_script_installed():
     proc = subprocess.run(["lapgeo", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "estimate" in proc.stdout and "baseline" in proc.stdout
+
+
+def test_import_does_not_load_scipy():
+    # only the baseline verb needs scipy; it imports it on first use
+    src = str(Path(lg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, lapgeo, lapgeo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -147,3 +147,17 @@ class TestRunLossExperiment:
         lg.run_loss_experiment(_cfg(n_seeds=1, output_path=str(out)))
         header = out.read_text().splitlines()[0]
         assert header == "n,q_spec,q_used,r_used,seed,estimate,oracle,loss,status"
+
+    def test_adaptive_ok_rows_meet_the_inequality(self):
+        cfg = _cfg(n_values=(10, 20, 30), q_values=(ADAPTIVE,), r_rule=0.5, n_seeds=4)
+        checked = 0
+        for row in lg.run_loss_experiment(cfg):
+            if row["seed"] == "mean" or row["status"] != "ok":
+                continue
+            n = row["n"]
+            cloud = lg.sample_uniform_circle(n, seed=row["seed"])
+            manifold = lg.ManifoldConfig(1, 2.0 * np.pi, cfg.h_for(n))
+            lam = lg.eigendecompose(lg.build_laplacian(cloud, manifold)).nonzero_eigenvalues
+            assert 2.0 * abs(lam[row["q_used"] - 1]) < abs(lam[row["r_used"] - 1])
+            checked += 1
+        assert checked > 0

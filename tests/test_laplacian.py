@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -87,6 +89,17 @@ def test_sphere_first_eigenvalues_near_minus_two():
     cfg = lg.ManifoldConfig(2, 4 * np.pi, 0.5 * n ** (-1 / 6))
     dec = lg.eigendecompose(lg.build_laplacian(lg.PointCloud(x), cfg))
     assert np.allclose(dec.nonzero_eigenvalues[:3], -2.0, rtol=0.25, atol=0.0)
+
+
+@pytest.mark.parametrize("volume, bandwidth", [(1e308, 1e-100), (1e308, 0.2)])
+def test_overflowing_scale_is_silent_input_error(volume, bandwidth):
+    # 1e-100: s is inf and inf * 0 is NaN; 0.2: s is finite but the row
+    # sums overflow.  Either way an InputError, and no numpy warning first
+    cloud = lg.sample_uniform_circle(1000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lg.InputError, match="finite"):
+            lg.build_laplacian(cloud, _cfg(vol=volume, h=bandwidth))
 
 
 @given(clouds)
