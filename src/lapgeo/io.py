@@ -1,10 +1,13 @@
-"""CSV input and output.
+r"""CSV input and output.
 
 Point clouds: one row per point, comma-separated decimal coordinates,
 optional single header row auto-detected (a first row that fails numeric
 parsing is a header; any later unparsable row is an error naming the row).
-Floats are written with 17 significant digits so values round-trip
-losslessly; infinities are written as "inf".
+
+Distance matrices: one row per point, each entry as `format(x, ".17g")`
+(17 significant digits, so values round-trip losslessly; infinities are
+"inf"), entries joined by "," and rows ended by "\r\n". The writer builds
+these bytes with numpy, exactly, in blocks of a fixed number of entries.
 """
 
 from __future__ import annotations
@@ -51,9 +54,169 @@ def load_point_cloud(path) -> PointCloud:
     return validate_point_cloud(rows)
 
 
+# 10**k for k = 0..22, every one an exact double, with its Veltkamp split
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+_BLOCK = 1 << 14  # entries formatted per write; bounds the scratch memory
+_FIELD = 26  # the longest %.17g text, "-2.2250738585072014e-308", plus "\r\n"
+
+
+def _scaled(x, k):
+    """Dekker's TwoProduct: p + e == x * 10**k exactly, p the rounded product."""
+    p = x * _POW10[k]
+    xh, xl = _split(x)
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    return p, ((xh * ph - p) + xh * pl + xl * ph) + xl * pl
+
+
+def _digit_tables():
+    """For g in 0..9999: its four ASCII digits as one little-endian uint32,
+    and how many of them precede its trailing zeros (-100 for g = 0)."""
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    chars = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
+    trailing = (digits[:, ::-1] != 0).argmax(axis=1)
+    kept = np.where(g == 0, -100, 4 - trailing).astype(np.int8)
+    return chars, kept
+
+
+def _decimal(x):
+    """Exponent X and 17-digit integer N with N * 10**(X - 16) the value of
+    x rounded to 17 significant digits, half to even, for 1e-6 < x < 1e17.
+
+    With k = 16 - X in 0..22, 10**k is exact and x * 10**k = p + e exactly.
+    In [1e16, 1e17) p is an even integer (p >= 2**53), so p + rint(e)
+    rounds p + e half to even, as `format` does.  X comes from log10 and is
+    corrected once when p + e falls outside [1e16, 1e17); the test is on p
+    and e, not on the rounded N.  N never carries to 1e17: no double in
+    (1e-6, 1e17) lies within half a unit of the 17th digit below a power
+    of ten (the layout tests hold the doubles next to each such power).
+    """
+    X = np.floor(np.log10(x)).astype(np.intp)
+    np.clip(X, -6, 16, out=X)
+    p, e = _scaled(x, 16 - X)
+    up = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    down = (p < 1e16) | ((p == 1e16) & (e < 0))
+    fix = np.flatnonzero(up | down)
+    if fix.size:
+        X[fix] += up[fix].astype(np.intp) - down[fix]
+        p[fix], e[fix] = _scaled(x[fix], 16 - X[fix])
+    N = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    return X.astype(np.int8), N
+
+
+def _digits(N, chars, kept):
+    """The 17 ASCII digits of each N, one row each, and how many of them
+    are significant: up to the last nonzero one."""
+    hi, lo = np.divmod(N, 10**8)
+    d0, r = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
+    g1, g2 = np.divmod(r, np.uint32(10**4))
+    g3, g4 = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
+    words = np.empty((N.size, 5), dtype="<u4")
+    words[:, 0] = (d0 + ord("0")) << 24  # the leading digit, in byte 3
+    for col, g in enumerate((g1, g2, g3, g4), start=1):
+        words[:, col] = chars[g]
+    sig = np.maximum(np.maximum(1 + kept[g1], 5 + kept[g2]),
+                     np.maximum(9 + kept[g3], 13 + kept[g4]))
+    return words.view(np.uint8)[:, 3:], np.maximum(sig, 1)
+
+
+def _layout(X, D, sig):
+    """C's %g text of rows of digits D at exponents X (rows in ascending X)
+    and its length: fixed notation for -4 <= X <= 16 (integer zeros kept,
+    no point without a fraction), otherwise d.ddd followed by e-05 or e-06."""
+    mantissa = np.where(sig > 1, sig + 1, 1).astype(np.int8)
+    length = np.where(X >= 0, np.where(sig > X + 1, sig + 1, X + 1),
+                      np.where(X >= -4, sig + 1 - X, mantissa + 4))
+    text = np.empty((X.size, _FIELD), dtype=np.uint8)
+    bounds = np.cumsum(np.bincount(X + 6, minlength=23))
+    for x, a, b in zip(range(-6, 17), [0, *bounds[:-1]], bounds):
+        if a == b:
+            continue
+        t, d = text[a:b], D[a:b]
+        if x >= 0:
+            t[:, :x + 1] = d[:, :x + 1]
+            t[:, x + 1] = ord(".")
+            t[:, x + 2:18] = d[:, x + 1:]
+        elif x >= -4:
+            t[:, :1 - x] = np.frombuffer(b"0.000", np.uint8)[:1 - x]
+            t[:, 1 - x:18 - x] = d
+        else:
+            t[:, 0] = d[:, 0]
+            t[:, 1] = ord(".")
+            t[:, 2:18] = d[:, 1:]
+            rows = np.arange(b - a)
+            for j, c in enumerate(b"e-05" if x == -5 else b"e-06"):
+                t[rows, mantissa[a:b] + j] = c
+    return text, length
+
+
+def _format_block(v, start, n, chars, kept):
+    """The CSV bytes of the entries v, which begin at flat index start of
+    a matrix with n columns."""
+    size = v.size
+    fast = (v > 1e-6) & (v < 1e17)
+    X, N = _decimal(np.where(fast, v, 1.0))
+    # laid out sorted by exponent, so that each exponent's layout is a few
+    # slice copies over one run of rows, then put back in place
+    order = np.argsort(X, kind="stable")
+    D, sig = _digits(N[order], chars, kept)
+    sorted_text, length = _layout(X[order], D, sig)
+    text = np.empty_like(sorted_text)
+    text.view(f"V{_FIELD}")[order] = sorted_text.view(f"V{_FIELD}")
+    L = np.empty(size, dtype=np.uint8)
+    L[order] = length
+
+    if not fast.all():
+        zero = np.flatnonzero(v == 0.0)
+        negative = np.signbit(v[zero])
+        text[zero, 0] = np.where(negative, ord("-"), ord("0"))
+        text[zero, 1] = ord("0")
+        L[zero] = 1 + negative
+        inf = np.flatnonzero(v == np.inf)
+        text[inf, :3] = np.frombuffer(b"inf", np.uint8)
+        L[inf] = 3
+        for i in np.flatnonzero(~fast & (v != 0.0) & (v != np.inf)):
+            s = format(float(v[i]), ".17g").encode()
+            text[i, :len(s)] = np.frombuffer(s, np.uint8)
+            L[i] = len(s)
+
+    text[np.arange(size), L] = ord(",")
+    row_ends = np.arange((n - 1 - start) % n, size, n)
+    text[row_ends, L[row_ends]] = ord("\r")
+    text[row_ends, L[row_ends] + 1] = ord("\n")
+    L += 1
+    L[row_ends] += 1
+    return text[np.arange(_FIELD, dtype=np.uint8) < L[:, None]]
+
+
 def save_distance_matrix(path, dist: DistanceMatrix) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        np.savetxt(fh, dist.matrix, fmt="%.17g", delimiter=",", newline="\r\n")
+    r"""Write a distance matrix as CSV.
+
+    The file holds exactly the bytes of
+    `"".join(",".join(format(x, ".17g") for x in row) + "\r\n" for row in m)`:
+    17 significant digits, C's %g layout, "inf" for disconnected pairs, so
+    `load_distance_matrix` reads back the same doubles.  Entries in
+    (1e-6, 1e17), and zeros and infinities, are formatted by numpy in
+    blocks of a fixed number of entries; any other entry goes through
+    `format` one at a time.  A 0 x 0 matrix gives an empty file.
+    """
+    m = dist.matrix
+    flat = m.reshape(-1)
+    chars, kept = _digit_tables()
+    with open(path, "wb") as fh:
+        for start in range(0, flat.size, _BLOCK):
+            fh.write(_format_block(flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
 
 
 def load_distance_matrix(path) -> DistanceMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .types import DistanceMatrix, GraphLaplacian, ManifoldConfig, PointCloud
 
 
@@ -37,13 +38,23 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
     off-diagonal row, so rows sum to zero exactly up to rounding.
     """
     h = cfg.bandwidth
+    d = cfg.intrinsic_dim
+    # checked before the kernel: where h^(2+d) leaves the double range, 4h^2
+    # may too, and -d2 / (4h^2) would divide by zero
+    try:
+        s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
+    except (OverflowError, ZeroDivisionError):
+        s = np.nan
+    if not 0.0 < s < np.inf:
+        raise InputError(
+            f"kernel scale vol / ((4 pi)^(d/2) n h^(d+2)) is not finite and "
+            f"positive for volume {cfg.volume}, bandwidth {h}, d = {d}, n = {cloud.n}"
+        )
     d2 = squared_distances(cloud.points)
     w = np.exp(-d2 / (4.0 * h * h))
     np.fill_diagonal(w, 0.0)
-    d = cfg.intrinsic_dim
-    s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
-    # a scale that overflows leaves inf or NaN entries, which GraphLaplacian
-    # rejects with an InputError; numpy need not warn about them first
+    # a finite scale can still overflow the row sums; GraphLaplacian rejects
+    # the inf entries with an InputError, and numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         m = s * w
         np.fill_diagonal(m, -m.sum(axis=1))

@@ -1,3 +1,6 @@
+import csv
+from io import StringIO
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -64,3 +67,11 @@ def grad_sup_spectral(cfg, vhat):
     coeffs = np.einsum("i,j,jk,ijk->k", vhat, vhat, weights, triple)
     d2 = proj @ coeffs
     return float(np.sqrt(np.maximum(d2, 0.0).max()))
+
+
+def csv_layout(matrix) -> bytes:
+    """The csv module's rendering of a matrix with every entry formatted as
+    format(x, ".17g"): the reference for save_distance_matrix."""
+    out = StringIO()
+    csv.writer(out).writerows([format(x, ".17g") for x in row] for row in matrix)
+    return out.getvalue().encode()

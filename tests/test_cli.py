@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lapgeo as lg
+from conftest import csv_layout
 from lapgeo.cli import main
 from lapgeo.io import load_distance_matrix
 
@@ -46,6 +47,22 @@ class TestEstimateVerb:
         opt = lg.OptimizerConfig(n_samples=200, n_refine=12, seed=0)
         expect = lg.estimate_all_distances(cfg, cloud, opt)
         assert np.array_equal(load_distance_matrix(out).matrix, expect.matrix)
+
+    def test_output_bytes_match_csv_layout(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        cloud = lg.sample_uniform_circle(300, seed=4)
+        theta = np.arctan2(cloud.points[0, 1], cloud.points[0, 0]) + 3e-5
+        points = np.vstack([cloud.points, [np.cos(theta), np.sin(theta)]])
+        # the pair 3e-5 apart makes entries below 1e-4, in exponent notation
+        pts.write_text("".join(f"{x:.17g},{y:.17g}\n" for x, y in points))
+        argv = ["estimate", "--input", str(pts), "--dim", "1",
+                "--volume", format(2 * np.pi, ".17g"), "--bandwidth", "0.12",
+                "--q", "4", "--r", "12", "--seed", "0", "--output", str(out)]
+        assert main(argv) == 0
+        text = out.read_bytes()
+        assert b"e-0" in text
+        assert text == csv_layout(load_distance_matrix(out).matrix)
 
     def test_adaptive_reports_chosen_q(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -157,6 +174,9 @@ class TestEstimateVerb:
             # finite flags whose kernel scale overflows
             ["--volume", "1e308", "--bandwidth", "1e-100", "--q", "2"],
             ["--volume", "6.28", "--bandwidth", "0.3", "--adaptive", "--epsilon", "nan"],
+            # h^3 underflows to 0, or overflows
+            ["--volume", "6.28", "--bandwidth", "1e-170", "--q", "2"],
+            ["--volume", "6.28", "--bandwidth", "1e300", "--q", "2"],
         ],
     )
     def test_non_finite_data_is_input_error(self, tmp_path, capsys, flags):
@@ -206,6 +226,18 @@ class TestBaselineVerb:
         assert code == 0
         d = load_distance_matrix(out).matrix
         assert np.isinf(d[0, 1])
+
+    def test_disconnected_output_bytes_match_csv_layout(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        _write_circle(pts, n=40, seed=3)
+        code = main(
+            ["baseline", "--input", str(pts), "--radius", "0.05", "--output", str(out)]
+        )
+        assert code == 0
+        d = load_distance_matrix(out).matrix
+        assert np.isinf(d).any()
+        assert out.read_bytes() == csv_layout(d)
 
 
 class TestLossExperimentVerb:

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lapgeo as lg
+from conftest import csv_layout
 from lapgeo.errors import InputError
-from lapgeo.io import load_distance_matrix, save_distance_matrix, write_loss_csv
+from lapgeo.io import _BLOCK, load_distance_matrix, save_distance_matrix, write_loss_csv
 
 
 def test_load_point_cloud_plain(tmp_path):
@@ -67,6 +72,79 @@ def test_distance_matrix_roundtrip_keeps_inf(tmp_path):
     assert "inf" in p.read_text()
     back = load_distance_matrix(p)
     assert np.isinf(back.matrix[0, 1])
+
+
+def _with_neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# powers of ten and their neighbours, which move log10's exponent guess,
+# including the 1e-6 / 1e17 ends of the numpy path and %g's 1e-4 / 1e16
+# switches between fixed and exponent notation
+POWERS = [y for k in range(-8, 19) for y in _with_neighbours(10.0**k)]
+# x * 10 ends in exactly .5: the 17th digit rounds half to even
+TIES = [1000000000000000.25, 1000000000000000.75, 100000000000000.125]
+# the 17-digit rounding carries through trailing nines
+CARRIES = [0.124, 59610276432.13382, 0.005506388673152454, 0.30000000000000004]
+# values the numpy path hands to format
+OUTSIDE = [5e-324, 1e-7, 9.9999999999999998e-249, 1.7976931348623157e308, 0.0, -0.0, math.inf]
+TABLE = POWERS + TIES + CARRIES + OUTSIDE
+
+
+def _symmetric(values):
+    """A distance matrix holding each value at (i, j) and (j, i), i < j; the
+    remaining off-diagonal entries are 1."""
+    k = 2
+    while k * (k - 1) // 2 < len(values):
+        k += 1
+    m = np.ones((k, k))
+    np.fill_diagonal(m, 0.0)
+    i, j = np.triu_indices(k, 1)
+    i, j = i[: len(values)], j[: len(values)]
+    m[i, j] = values
+    m[j, i] = values
+    return lg.DistanceMatrix(m)
+
+
+def _saved_bytes(path, dist):
+    save_distance_matrix(path, dist)
+    return path.read_bytes()
+
+
+def test_distance_matrix_layout_table(tmp_path):
+    d = _symmetric(TABLE)
+    assert _saved_bytes(tmp_path / "d.csv", d) == csv_layout(d.matrix)
+
+
+distances = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False),  # subnormals and inf included
+    st.just(-0.0),
+    st.integers(4 * 10**15, 8 * 10**15).map(lambda t: t / 4),  # half are ties
+    st.sampled_from(TABLE),
+)
+
+
+@given(st.lists(distances, min_size=1, max_size=40))
+def test_distance_matrix_layout_property(tmp_path_factory, values):
+    d = _symmetric(values)
+    path = tmp_path_factory.mktemp("layout") / "d.csv"
+    assert _saved_bytes(path, d) == csv_layout(d.matrix)
+
+
+@pytest.mark.parametrize("n", [0, 1, 131])
+def test_distance_matrix_layout_any_size(tmp_path, n):
+    # 131 * 131 entries: a full block, then a partial one, with a row that
+    # crosses the boundary between them
+    assert n < 2 or (n * n > _BLOCK and n * n % _BLOCK and _BLOCK % n)
+    rng = np.random.default_rng(n)
+    pool = [x for x in TABLE if x > 0.0] + list(rng.uniform(0.0, 4.0, 50))
+    m = np.zeros((n, n))
+    i, j = np.triu_indices(n, 1)
+    m[i, j] = m[j, i] = rng.choice(pool, size=i.size)
+    d = lg.DistanceMatrix(m)
+    expected = csv_layout(m)
+    assert (n > 0) == bool(expected)
+    assert _saved_bytes(tmp_path / "d.csv", d) == expected
 
 
 def test_load_distance_matrix_rejects_malformed_cell(tmp_path):

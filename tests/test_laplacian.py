@@ -91,10 +91,14 @@ def test_sphere_first_eigenvalues_near_minus_two():
     assert np.allclose(dec.nonzero_eigenvalues[:3], -2.0, rtol=0.25, atol=0.0)
 
 
-@pytest.mark.parametrize("volume, bandwidth", [(1e308, 1e-100), (1e308, 0.2)])
+@pytest.mark.parametrize(
+    "volume, bandwidth",
+    [(1e308, 1e-100), (1e308, 0.2), (6.28, 1e-170), (6.28, 1e-200), (6.28, 1e300)],
+)
 def test_overflowing_scale_is_silent_input_error(volume, bandwidth):
-    # 1e-100: s is inf and inf * 0 is NaN; 0.2: s is finite but the row
-    # sums overflow.  Either way an InputError, and no numpy warning first
+    # 1e-100: s is inf; 0.2: s is finite but the row sums overflow;
+    # 1e-170 and 1e-200: h^3 and 4h^2 underflow to 0; 1e300: h^3 overflows.
+    # Each is an InputError, with no numpy warning first
     cloud = lg.sample_uniform_circle(1000, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
