@@ -4,9 +4,16 @@ Everything here has a closed form: geodesic distances, the Laplace
 eigenbasis sampled at given angles, Fourier coefficients of the distance
 function, the q-term rescaled partial sum used as a resolution-limited
 distance oracle, and the covering radius of an angle sample.
+
+The oracle's derivative rows on its grid depend only on the row index,
+so one module-level table serves every q up to its height: it is built
+on the first oracle call, not at import, and rebuilt taller only when a
+larger q is asked for (q rows of GRID_SIZE doubles, 0.9 MB at q = 11).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -93,22 +100,16 @@ def distance_fourier_coeffs(t0: float, q: int) -> np.ndarray:
 
 GRID_SIZE = 10_000
 
+# rows 0..height-1 of the basis derivatives on the grid, read-only; only
+# ever replaced by a taller table, under the lock
+_dgrid = np.empty((0, GRID_SIZE))
+_dgrid_lock = threading.Lock()
 
-def q_resolved_distance(t0: float, t1: float, q: int) -> float:
-    """Separation achieved by the q-term partial Fourier sum of
-    dist(t0, .), rescaled to gradient sup-norm at most 1.
 
-    The partial sum f (constant included) is evaluated analytically; its
-    derivative's sup is taken on a uniform grid of GRID_SIZE points via
-    term-wise differentiation.  Returns |f(t0) - f(t1)| / max(sup|f'|, 1),
-    which never exceeds the true geodesic distance by more than the grid
-    tolerance.
-    """
-    coeffs = distance_fourier_coeffs(t0, q)
-    # one product per point: a joint 2-row product rounds differently
-    f0 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t0], q)[1][0]
-    f1 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t1], q)[1][0]
-
+def _derivative_rows(q: int) -> np.ndarray:
+    """Derivatives of the first q columns of analytic_eigenbasis at the
+    GRID_SIZE grid points, one row each: k cos(kt) on sin rows, -k sin(kt)
+    on cos rows, over sqrt(pi)."""
     ks = np.arange(q) // 2 + 1
     grid = np.linspace(0.0, TWO_PI, GRID_SIZE, endpoint=False)
     phases = np.outer(ks, grid)
@@ -116,7 +117,36 @@ def q_resolved_distance(t0: float, t1: float, q: int) -> float:
     dbasis[0::2] = np.cos(phases[0::2])  # sin rows
     dbasis[1::2] = -np.sin(phases[1::2])  # cos rows
     dbasis *= ks[:, None] / SQRT_PI
-    sup_grad = np.max(np.abs(coeffs @ dbasis))
+    dbasis.flags.writeable = False
+    return dbasis
+
+
+def _derivative_table(q: int) -> np.ndarray:
+    """The shared derivative table, at least q rows tall."""
+    global _dgrid
+    with _dgrid_lock:
+        table = _dgrid
+        if table.shape[0] < q:
+            table = _dgrid = _derivative_rows(q)
+    return table
+
+
+def q_resolved_distance(t0: float, t1: float, q: int) -> float:
+    """Separation achieved by the q-term partial Fourier sum of
+    dist(t0, .), rescaled to gradient sup-norm at most 1.
+
+    The partial sum f (constant included) is evaluated analytically; its
+    derivative's sup is taken on a uniform grid of GRID_SIZE points via
+    term-wise differentiation, from the first q rows of the shared
+    derivative table (see the module docstring).  Returns
+    |f(t0) - f(t1)| / max(sup|f'|, 1), which never exceeds the true
+    geodesic distance by more than the grid tolerance.
+    """
+    coeffs = distance_fourier_coeffs(t0, q)
+    # one product per point: a joint 2-row product rounds differently
+    f0 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t0], q)[1][0]
+    f1 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t1], q)[1][0]
+    sup_grad = np.max(np.abs(coeffs @ _derivative_table(q)[:q]))
     return float(np.abs(f0 - f1) / max(sup_grad, 1.0))
 
 

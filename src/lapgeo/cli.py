@@ -6,7 +6,8 @@ Verbs:
            (--q Q | --adaptive [--epsilon E]) --r R --seed S --output out.csv
   baseline --input points.csv --radius H --output out.csv
 
-Flags are checked before the input is read; --epsilon needs --adaptive.
+Flags, and that the output's directory exists, are checked before the
+input is read or any work is done; --epsilon needs --adaptive.
 
 Exit codes: 0 success, 1 input error (files, flags, malformed data),
 2 numerical failure (no admissible q, degenerate estimation).
@@ -22,7 +23,7 @@ from .baseline import build_neighbor_graph, shortest_path_distances
 from .errors import InputError, NumericalError
 from .estimator import DiracConfig, OptimizerConfig, estimate_all_distances
 from .harness import ExperimentConfig, run_loss_experiment
-from .io import load_point_cloud, save_distance_matrix
+from .io import check_output_dir, load_point_cloud, save_distance_matrix
 from .laplacian import build_laplacian
 from .spectral import eigendecompose, select_q
 from .types import ManifoldConfig, TruncationParams
@@ -76,6 +77,7 @@ def _cmd_loss(args) -> int:
     if cfg.output_path is None:
         print("lapgeo: config has no output_path; nothing to write", file=sys.stderr)
         return 1
+    check_output_dir(cfg.output_path)
     run_loss_experiment(cfg)
     return 0
 
@@ -85,6 +87,7 @@ def _cmd_estimate(args) -> int:
         raise InputError("--epsilon applies only with --adaptive")
     manifold = ManifoldConfig(args.dim, args.volume, args.bandwidth)
     opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
+    check_output_dir(args.output)
     cloud = load_point_cloud(args.input)
     dec = eigendecompose(build_laplacian(cloud, manifold))
     r = args.r
@@ -97,6 +100,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    check_output_dir(args.output)
     cloud = load_point_cloud(args.input)
     graph = build_neighbor_graph(cloud, args.radius)
     save_distance_matrix(args.output, shortest_path_distances(graph))

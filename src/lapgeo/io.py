@@ -13,6 +13,7 @@ these bytes with numpy, exactly, in blocks of a fixed number of entries.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -209,14 +210,26 @@ def save_distance_matrix(path, dist: DistanceMatrix) -> None:
     `load_distance_matrix` reads back the same doubles.  Entries in
     (1e-6, 1e17), and zeros and infinities, are formatted by numpy in
     blocks of a fixed number of entries; any other entry goes through
-    `format` one at a time.  A 0 x 0 matrix gives an empty file.
+    `format` one at a time.  A 0 x 0 matrix gives an empty file.  A file
+    that cannot be opened or written is an InputError naming the path.
     """
     m = dist.matrix
     flat = m.reshape(-1)
     chars, kept = _digit_tables()
-    with open(path, "wb") as fh:
-        for start in range(0, flat.size, _BLOCK):
-            fh.write(_format_block(flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
+    try:
+        with open(path, "wb") as fh:
+            for start in range(0, flat.size, _BLOCK):
+                fh.write(_format_block(flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+
+
+def check_output_dir(path) -> None:
+    """Raise InputError unless the directory that would hold path exists,
+    so that a run can fail before it computes what it cannot write."""
+    directory = os.path.dirname(os.fspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise InputError(f"cannot write {path}: no directory {directory}")
 
 
 def load_distance_matrix(path) -> DistanceMatrix:
@@ -239,12 +252,16 @@ LOSS_HEADER = ["n", "q_spec", "q_used", "r_used", "seed", "estimate", "oracle", 
 
 
 def write_loss_csv(path, rows) -> None:
-    """Write loss-experiment rows (dicts keyed by LOSS_HEADER fields)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOSS_HEADER)
-        for row in rows:
-            writer.writerow(
-                format(row[key], ".17g") if isinstance(row[key], float) else str(row[key])
-                for key in LOSS_HEADER
-            )
+    """Write loss-experiment rows (dicts keyed by LOSS_HEADER fields); a
+    file that cannot be opened or written is an InputError naming the path."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(LOSS_HEADER)
+            for row in rows:
+                writer.writerow(
+                    format(row[key], ".17g") if isinstance(row[key], float) else str(row[key])
+                    for key in LOSS_HEADER
+                )
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")

@@ -167,7 +167,7 @@ class DistanceMatrix:
             raise InputError("distance matrix must be symmetric")
         if np.any(np.diag(m) != 0.0):
             raise InputError("distance matrix must have a zero diagonal")
-        if finite.size and finite.min() < 0:
+        if np.any(m < 0):  # -inf too; -0.0 compares equal to 0
             raise InputError("distances must be non-negative")
         self.matrix = m
 

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import lapgeo as lg
+from lapgeo import circle
 from lapgeo.circle import (
     GRID_SIZE,
     TWO_PI,
@@ -178,6 +185,58 @@ class TestQResolvedDistance:
             t0, t1 = rng.uniform(0, 2 * np.pi, size=2)
             vals = [q_resolved_distance(t0, t1, q) for q in range(2, 30, 2)]
             assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
+
+
+class TestDerivativeTable:
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        monkeypatch.setattr(circle, "_dgrid", np.empty((0, GRID_SIZE)))
+
+    def test_tall_table_first_then_every_smaller_q(self, fresh_table):
+        rng = np.random.default_rng(32)
+        for q in range(29, 0, -1):
+            for t0, t1 in rng.uniform(0, 2 * np.pi, size=(3, 2)):
+                assert q_resolved_distance(t0, t1, q) == _q_resolved_two_trig(t0, t1, q)
+        assert circle._dgrid.shape == (29, GRID_SIZE)
+
+    def test_smaller_q_keeps_the_table(self, fresh_table):
+        q_resolved_distance(0.4, 2.0, 29)
+        table = circle._dgrid
+        for q in (5, 11, 29, 1):
+            q_resolved_distance(0.4, 2.0, q)
+            assert circle._dgrid is table
+        assert table.shape == (29, GRID_SIZE)
+        q_resolved_distance(0.4, 2.0, 31)
+        assert circle._dgrid.shape == (31, GRID_SIZE)
+
+    def test_table_is_read_only(self, fresh_table):
+        q_resolved_distance(0.4, 2.0, 7)
+        with pytest.raises(ValueError):
+            circle._dgrid[0, 0] = 1.0
+
+    def test_mixed_q_from_threads(self, fresh_table):
+        rng = np.random.default_rng(33)
+        calls = [(t0, t1, int(q)) for (t0, t1), q in zip(
+            rng.uniform(0, 2 * np.pi, size=(64, 2)), rng.integers(1, 30, size=64))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda c: q_resolved_distance(*c), calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [_q_resolved_two_trig(*c) for c in calls]
+        assert circle._dgrid.shape[0] == max(q for _, _, q in calls)
+
+    def test_not_built_at_import(self):
+        src = str(Path(lg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = "import lapgeo.circle as c; print(c._dgrid.shape[0])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestCoveringRadius:

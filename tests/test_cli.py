@@ -292,6 +292,55 @@ class TestLossExperimentVerb:
         assert "lapgeo: input error:" in capsys.readouterr().err
 
 
+def _fail(*args, **kwargs):
+    pytest.fail("work ran although the output could not be written")
+
+
+class TestUnwritableOutput:
+    def test_estimate_checks_before_reading(self, tmp_path, capsys, monkeypatch):
+        pts = tmp_path / "pts.csv"
+        _write_circle(pts)
+        monkeypatch.setattr("lapgeo.cli.load_point_cloud", _fail)
+        monkeypatch.setattr("lapgeo.cli.estimate_all_distances", _fail)
+        out = tmp_path / "missing" / "dist.csv"
+        argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.28",
+                "--bandwidth", "0.3", "--q", "2", "--r", "6", "--seed", "0",
+                "--output", str(out)]
+        assert main(argv) == 1
+        assert f"lapgeo: input error: cannot write {out}" in capsys.readouterr().err
+
+    def test_baseline_checks_before_reading(self, tmp_path, capsys, monkeypatch):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0\n1.0,0.0\n")
+        monkeypatch.setattr("lapgeo.cli.load_point_cloud", _fail)
+        monkeypatch.setattr("lapgeo.cli.shortest_path_distances", _fail)
+        out = tmp_path / "missing" / "dist.csv"
+        argv = ["baseline", "--input", str(pts), "--radius", "2", "--output", str(out)]
+        assert main(argv) == 1
+        assert f"lapgeo: input error: cannot write {out}" in capsys.readouterr().err
+
+    def test_loss_checks_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lapgeo.cli.run_loss_experiment", _fail)
+        out = tmp_path / "missing" / "loss.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_values": [10], "n_seeds": 1,
+                                        "output_path": str(out)}))
+        assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+        assert f"lapgeo: input error: cannot write {out}" in capsys.readouterr().err
+
+    def test_output_that_is_a_directory(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0\n1.0,0.0\n")
+        argv = ["baseline", "--input", str(pts), "--radius", "2", "--output", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"lapgeo: input error: cannot write {tmp_path}" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_values": [10], "q_values": [5], "n_seeds": 1,
+                                        "output_path": str(tmp_path)}))
+        assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+        assert f"lapgeo: input error: cannot write {tmp_path}" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     proc = subprocess.run(["lapgeo", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

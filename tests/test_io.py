@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 import lapgeo as lg
 from conftest import csv_layout
 from lapgeo.errors import InputError
-from lapgeo.io import _BLOCK, load_distance_matrix, save_distance_matrix, write_loss_csv
+from lapgeo.io import (
+    _BLOCK,
+    check_output_dir,
+    load_distance_matrix,
+    save_distance_matrix,
+    write_loss_csv,
+)
 
 
 def test_load_point_cloud_plain(tmp_path):
@@ -187,3 +194,20 @@ def test_write_loss_csv_schema(tmp_path):
     assert lines[1].split(",")[8] == "ok"
     # floats carry full precision
     assert "0.25" in lines[1]
+
+
+def test_unwritable_outputs_are_input_errors(tmp_path):
+    d = lg.DistanceMatrix(np.zeros((1, 1)))
+    for path in (tmp_path / "missing" / "out.csv", tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"cannot write {path}")):
+            save_distance_matrix(path, d)
+        with pytest.raises(InputError, match=re.escape(f"cannot write {path}")):
+            write_loss_csv(path, [])
+
+
+def test_check_output_dir(tmp_path, monkeypatch):
+    check_output_dir(tmp_path / "out.csv")
+    monkeypatch.chdir(tmp_path)
+    check_output_dir("out.csv")  # the working directory
+    with pytest.raises(InputError, match="missing"):
+        check_output_dir(tmp_path / "missing" / "out.csv")

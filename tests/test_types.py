@@ -124,6 +124,15 @@ class TestDistanceMatrix:
         with pytest.raises(InputError):
             lg.DistanceMatrix(m)
 
+    def test_rejects_negative_infinity(self):
+        m = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
+        with pytest.raises(InputError, match="non-negative"):
+            lg.DistanceMatrix(m)
+
+    def test_accepts_negative_zero_and_inf(self):
+        m = np.array([[0.0, -0.0, np.inf], [-0.0, 0.0, 1.0], [np.inf, 1.0, -0.0]])
+        assert np.array_equal(lg.DistanceMatrix(m).matrix, m)
+
     def test_tolerates_rounding_asymmetry(self):
         m = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
         lg.DistanceMatrix(m)
