@@ -25,7 +25,7 @@ from .estimator import DiracConfig, OptimizerConfig, estimate_all_distances
 from .harness import ExperimentConfig, run_loss_experiment
 from .io import check_output_dir, load_point_cloud, save_distance_matrix
 from .laplacian import build_laplacian
-from .spectral import eigendecompose, select_q
+from .spectral import check_epsilon, eigendecompose, select_q
 from .types import ManifoldConfig, TruncationParams
 
 
@@ -70,13 +70,11 @@ def _cmd_loss(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"lapgeo: cannot read config: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors
+        raise InputError(f"cannot read config: {exc}") from exc
     cfg = ExperimentConfig.from_dict(data)
     if cfg.output_path is None:
-        print("lapgeo: config has no output_path; nothing to write", file=sys.stderr)
-        return 1
+        raise InputError("config has no output_path; nothing to write")
     check_output_dir(cfg.output_path)
     run_loss_experiment(cfg)
     return 0
@@ -85,6 +83,7 @@ def _cmd_loss(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.epsilon is not None and not args.adaptive:
         raise InputError("--epsilon applies only with --adaptive")
+    check_epsilon(args.epsilon or 0.0)
     manifold = ManifoldConfig(args.dim, args.volume, args.bandwidth)
     opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
     check_output_dir(args.output)

@@ -304,9 +304,9 @@ def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray):
     Works over TILE x TILE blocks of point indices on and above the
     diagonal; each block's result goes to (A, B) and (B, A), so every entry
     is written by one block.  The rows of blocks are spread over a thread
-    pool with one worker per usable CPU (numpy releases the GIL in these
-    ufuncs).  max is exact and fl(x - y) = -fl(y - x), so the result does
-    not depend on the worker count."""
+    pool with one worker per usable CPU, or per CPU where that is unknown
+    (numpy releases the GIL in these ufuncs).  max is exact and fl(x - y) =
+    -fl(y - x), so the result does not depend on the worker count."""
     n, m = emb.shape
 
     def floor_rows(i0: int):
@@ -321,7 +321,9 @@ def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray):
             dist[rows, cols] = block
             dist[cols, rows] = block.T
 
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS, Windows
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
         # list() re-raises a worker's exception here
         list(pool.map(floor_rows, range(0, n, TILE)))
 

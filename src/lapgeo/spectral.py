@@ -6,7 +6,8 @@ always at least the constants for a graph Laplacian) is stored first,
 followed by the non-zero eigenvalues in increasing magnitude, i.e.
 lambda_1 >= lambda_2 >= ... in signed order.  Eigenvectors are orthonormal
 columns in the same order, each flipped so its first coordinate of
-magnitude > 1e-12 is positive.
+magnitude > 1e-12 is positive; inside a kernel of dimension > 1 their order
+is unspecified.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NoAdmissibleQError, NumericalError
-from .types import GraphLaplacian, _frozen_array
+from .types import GraphLaplacian, _check_symmetric
 
 # |eigenvalue| <= ZERO_REL * spectral radius is classified as an exact zero.
 ZERO_REL = 1e-9
@@ -82,11 +83,7 @@ def eigendecompose(operator) -> SpectralDecomposition:
         a = operator.matrix
     else:
         a = np.asarray(operator, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError(f"operator must be square, got shape {a.shape}")
-        scale = np.max(np.abs(a)) if a.size else 0.0
-        if scale > 0 and np.max(np.abs(a - a.T)) > 1e-12 * scale:
-            raise InputError("operator must be symmetric")
+        _check_symmetric(a, "operator")
     try:
         w, v = np.linalg.eigh(a)  # ascending: most negative first
     except np.linalg.LinAlgError as exc:
@@ -96,19 +93,13 @@ def eigendecompose(operator) -> SpectralDecomposition:
         raise NumericalError(
             f"operator is not negative semidefinite: top eigenvalue {w[-1]:.3e}"
         )
-    zero = np.abs(w) <= ZERO_REL * radius if radius > 0 else np.ones_like(w, bool)
-    kernel_dim = int(np.count_nonzero(zero))
-    # kernel first, then non-zero eigenvalues by increasing magnitude
-    nz_order = np.nonzero(~zero)[0][::-1]
-    order = np.concatenate([np.nonzero(zero)[0], nz_order])
-    values = w[order].copy()
+    kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_REL * radius))
+    values = w[::-1].copy()  # NSD: the kernel tops the ascending w, so it leads
     values[:kernel_dim] = 0.0
-    vectors = _sign_normalize(v[:, order])
-    return SpectralDecomposition(
-        eigenvalues=_frozen_array(values),
-        eigenvectors=_frozen_array(vectors),
-        kernel_dim=kernel_dim,
-    )
+    vectors = _sign_normalize(v[:, ::-1])
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return SpectralDecomposition(values, vectors, kernel_dim)
 
 
 def project_leading(dec: SpectralDecomposition, v: np.ndarray, r: int) -> np.ndarray:
@@ -116,6 +107,12 @@ def project_leading(dec: SpectralDecomposition, v: np.ndarray, r: int) -> np.nda
     basis = dec.leading(r)
     v = np.asarray(v, dtype=float)
     return basis @ (basis.T @ v)
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject a select_q slack that is negative, infinite or NaN."""
+    if not (0 <= epsilon < np.inf):
+        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def select_q(dec: SpectralDecomposition, r: int, epsilon: float = 0.0) -> int:
@@ -126,8 +123,7 @@ def select_q(dec: SpectralDecomposition, r: int, epsilon: float = 0.0) -> int:
     """
     if not (1 <= r <= dec.rank):
         raise InputError(f"need 1 <= r <= rank={dec.rank}, got r={r}")
-    if not (0 <= epsilon < np.inf):
-        raise InputError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_epsilon(epsilon)
     mags = np.abs(dec.nonzero_eigenvalues)
     # |lambda_q| is non-decreasing in q, so scan from r downward.
     for q in range(r, 0, -1):

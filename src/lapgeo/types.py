@@ -97,14 +97,7 @@ class GraphLaplacian:
 
     def __init__(self, matrix):
         m = _frozen_array(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"Laplacian must be square, got shape {m.shape}")
-        scale = np.max(np.abs(m)) if m.size else 0.0
-        # max propagates NaN, so one test covers NaN and inf entries
-        if not np.isfinite(scale):
-            raise InputError("Laplacian entries must be finite")
-        if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
-            raise InputError("Laplacian must be symmetric (1e-12 relative)")
+        scale = _check_symmetric(m, "Laplacian")
         row_sums = m.sum(axis=1)
         row_scale = np.maximum(np.max(np.abs(m), axis=1), 1e-300)
         if np.any(np.abs(row_sums) > 1e-9 * row_scale) and scale > 0:
@@ -118,17 +111,27 @@ class GraphLaplacian:
         return self.matrix.shape[0]
 
 
+def _check_symmetric(m: np.ndarray, name: str) -> float:
+    """Check that m is square, finite and symmetric; return max|m| (0 if empty)."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"{name} must be square, got shape {m.shape}")
+    scale = np.max(np.abs(m)) if m.size else 0.0
+    # max propagates NaN, so one test covers NaN and inf entries
+    if not np.isfinite(scale):
+        raise InputError(f"{name} entries must be finite")
+    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
+        raise InputError(f"{name} must be symmetric (1e-12 relative)")
+    return scale
+
+
 def _is_nsd(m: np.ndarray, scale: float) -> bool:
-    if scale == 0.0:
-        return True
     tol = 1e-9 * scale
     diag = np.diag(m)
     # Gershgorin: every disc [d_i - R_i, d_i + R_i] below tol proves NSD.
     radii = np.sum(np.abs(m), axis=1) - np.abs(diag)
     if np.all(diag + radii <= tol):
         return True
-    eigenvalues = np.linalg.eigvalsh(m)
-    return eigenvalues[-1] <= tol
+    return np.linalg.eigvalsh(m)[-1] <= tol
 
 
 @dataclass(frozen=True)

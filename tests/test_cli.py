@@ -188,7 +188,13 @@ class TestEstimateVerb:
         assert "lapgeo: input error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--q", "2", "--samples", "0"], ["--q", "4", "--epsilon", "0.5"]]
+        "flags",
+        [
+            ["--q", "2", "--samples", "0"],
+            ["--q", "4", "--epsilon", "0.5"],
+            ["--adaptive", "--epsilon", "-1"],
+            ["--adaptive", "--epsilon", "nan"],
+        ],
     )
     def test_useless_flags_rejected_before_reading_input(
         self, tmp_path, capsys, monkeypatch, flags
@@ -256,17 +262,21 @@ class TestLossExperimentVerb:
         assert lines[0].startswith("n,q_spec")
         assert len(lines) == 1 + 2 * 3
 
-    def test_bad_json_exits_1(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{not json")
-        assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+    def test_bad_json_exits_1(self, tmp_path, capsys):
+        # malformed JSON, bytes that are not UTF-8, and no file at all
+        for i, content in enumerate([b"{not json", b"\xff{}", None]):
+            cfg_path = tmp_path / f"cfg{i}.json"
+            if content is not None:
+                cfg_path.write_bytes(content)
+            assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+            assert "lapgeo: input error: cannot read config" in capsys.readouterr().err
 
     def test_unknown_field_exits_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"grid": [10]}))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
 
-    def test_config_without_output_path_exits_1(self, tmp_path, monkeypatch):
+    def test_config_without_output_path_exits_1(self, tmp_path, capsys, monkeypatch):
         def sweep(cfg):
             pytest.fail("the sweep ran although nothing could be written")
 
@@ -274,6 +284,7 @@ class TestLossExperimentVerb:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n_values": [10], "n_seeds": 1}))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
+        assert "lapgeo: input error: config has no output_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config",

@@ -310,6 +310,9 @@ class TestEstimateAllDistances:
         for cpus in ({0}, {0, 1, 2}, os.sched_getaffinity(0)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
             results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
+        # platforms without sched_getaffinity (macOS, Windows) use cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
         assert all(np.array_equal(results[0], r) for r in results[1:])
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ class TestEigendecompose:
     def test_rejects_positive_eigenvalue(self):
         with pytest.raises(NumericalError):
             lg.eigendecompose(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_operator_is_input_error(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any numpy warning
+            with pytest.raises(InputError, match="finite"):
+                lg.eigendecompose(np.array([[bad, 0.0], [0.0, -1.0]]))
+
+    def test_two_clusters_kernel_first(self):
+        rng = np.random.default_rng(4)
+        pts = 0.3 * rng.normal(size=(40, 2))
+        pts[20:, 0] += 100.0  # no kernel weight crosses the gap
+        cloud = lg.PointCloud(pts)
+        op = lg.build_laplacian(cloud, lg.ManifoldConfig(2, 1.0, 0.5))
+        dec = lg.eigendecompose(op)
+        assert dec.kernel_dim == 2
+        assert np.all(dec.eigenvalues[:2] == 0.0)
+        assert np.all(dec.eigenvalues[2:] < 0.0)
+        assert np.all(np.diff(dec.eigenvalues[2:]) <= 0.0)
+        indicators = np.zeros((40, 2))
+        indicators[:20, 0] = indicators[20:, 1] = 1.0 / np.sqrt(20)
+        kernel = dec.kernel()
+        assert np.max(np.abs(kernel @ kernel.T - indicators @ indicators.T)) <= 1e-12
 
     def test_near_zero_snapped_exactly(self):
         dec = lg.eigendecompose(_diag_operator([-1e-15, -1.0]))
