@@ -45,6 +45,12 @@ class NeighborGraph:
         )
 
 
+def check_radius(h_graph: float) -> None:
+    """Reject an edge radius that is negative or NaN."""
+    if not (h_graph >= 0):
+        raise InputError(f"h_graph must be non-negative, got {h_graph}")
+
+
 def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     """Edges between all pairs with Euclidean distance strictly below
     h_graph.  A zero radius yields the empty graph: every off-diagonal
@@ -53,8 +59,7 @@ def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     # `import lapgeo` and the other verbs do not pay for it
     from scipy.sparse import csr_matrix
 
-    if not (h_graph >= 0):
-        raise InputError(f"h_graph must be non-negative, got {h_graph}")
+    check_radius(h_graph)
     dist = np.sqrt(squared_distances(cloud.points))
     mask = dist < h_graph
     np.fill_diagonal(mask, False)

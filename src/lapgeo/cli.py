@@ -6,8 +6,10 @@ Verbs:
            (--q Q | --adaptive [--epsilon E]) --r R --seed S --output out.csv
   baseline --input points.csv --radius H --output out.csv
 
-Flags, and that the output's directory exists, are checked before the
-input is read or any work is done; --epsilon needs --adaptive.
+Flags (--q against --r, --epsilon only with --adaptive, --seed, --samples,
+--refine, --dim, --volume, --bandwidth, --radius) and the output's directory
+are checked before the input is read; only the kernel scale, which needs n,
+waits for it.
 
 Exit codes: 0 success, 1 input error (files, flags, malformed data),
 2 numerical failure (no admissible q, degenerate estimation).
@@ -19,7 +21,7 @@ import argparse
 import json
 import sys
 
-from .baseline import build_neighbor_graph, shortest_path_distances
+from .baseline import build_neighbor_graph, check_radius, shortest_path_distances
 from .errors import InputError, NumericalError
 from .estimator import DiracConfig, OptimizerConfig, estimate_all_distances
 from .harness import ExperimentConfig, run_loss_experiment
@@ -84,21 +86,24 @@ def _cmd_estimate(args) -> int:
     if args.epsilon is not None and not args.adaptive:
         raise InputError("--epsilon applies only with --adaptive")
     check_epsilon(args.epsilon or 0.0)
+    # select_q returns a q in 1..r, so q = 1 checks r alone
+    trunc = TruncationParams(1 if args.adaptive else args.q, args.r)
     manifold = ManifoldConfig(args.dim, args.volume, args.bandwidth)
     opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
     check_output_dir(args.output)
     cloud = load_point_cloud(args.input)
     dec = eigendecompose(build_laplacian(cloud, manifold))
-    r = args.r
-    q = select_q(dec, r, args.epsilon or 0.0) if args.adaptive else args.q
-    dirac = DiracConfig(dec, TruncationParams(q, r))
-    print(f"q={q} r={r} rank={dec.rank}", file=sys.stderr)
+    if args.adaptive:
+        trunc = TruncationParams(select_q(dec, args.r, args.epsilon or 0.0), args.r)
+    dirac = DiracConfig(dec, trunc)
+    print(f"q={trunc.q} r={trunc.r} rank={dec.rank}", file=sys.stderr)
     dist = estimate_all_distances(dirac, cloud, opt)
     save_distance_matrix(args.output, dist)
     return 0
 
 
 def _cmd_baseline(args) -> int:
+    check_radius(args.radius)
     check_output_dir(args.output)
     cloud = load_point_cloud(args.input)
     graph = build_neighbor_graph(cloud, args.radius)

@@ -81,8 +81,8 @@ class DiracConfig:
 class OptimizerConfig:
     """Monte-Carlo plus pattern-search settings.
 
-    n_samples >= 1 seeded draws start the search; keep_top bounds how many
-    of them get refined, by n_refine sweeps whose first step is STEP0.
+    n_samples >= 1 draws from seed >= 0 start the search; keep_top bounds how
+    many of them get refined, by n_refine sweeps whose first step is STEP0.
     """
 
     n_samples: int = 200
@@ -97,6 +97,8 @@ class OptimizerConfig:
             raise InputError(f"n_refine must be >= 0, got {self.n_refine}")
         if self.keep_top < 1:
             raise InputError(f"keep_top must be >= 1, got {self.keep_top}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def _dirac_squared_cols(
@@ -367,10 +369,9 @@ def estimate_all_distances(
     np.concatenate(cols, axis=1, out=emb)
     del cols
     _chebyshev_floor(dist, emb)
-    # freed before DistanceMatrix validates, whose n x n temporaries are
-    # this function's memory peak
+    # freed before DistanceMatrix copies dist and takes its symmetry gap,
+    # two n x n arrays that are this function's memory peak
     del emb
-    np.fill_diagonal(dist, 0.0)
     return DistanceMatrix(dist)
 
 

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError
-from .types import DistanceMatrix, PointCloud, validate_point_cloud
+from .types import DistanceMatrix, PointCloud
 
 
 def _parse_row(row, row_number: int):
@@ -36,23 +36,19 @@ def load_point_cloud(path) -> PointCloud:
             raw = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    if not raw:
-        raise InputError(f"{path} is empty")
     rows = []
     start = 1
-    try:
-        rows.append(_parse_row(raw[0], 1))
-    except InputError:
-        start = 2  # header row
-    for i, row in enumerate(raw[1:], start=2):
-        rows.append(_parse_row(row, i))
-    if not rows:
-        raise InputError(f"{path} contains a header but no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
+    for i, row in enumerate(raw, start=1):
+        try:
+            rows.append(_parse_row(row, i))
+        except InputError:
+            if i > 1:
+                raise
+            start = 2  # header row
+    if len({len(r) for r in rows}) > 1:
         bad = next(i for i, r in enumerate(rows, start=start) if len(r) != len(rows[0]))
         raise InputError(f"row {bad}: expected {len(rows[0])} columns, got a different count")
-    return validate_point_cloud(rows)
+    return PointCloud(rows)  # rejects an empty cloud and non-finite values
 
 
 # 10**k for k = 0..22, every one an exact double, with its Veltkamp split

@@ -75,3 +75,21 @@ def csv_layout(matrix) -> bytes:
     out = StringIO()
     csv.writer(out).writerows([format(x, ".17g") for x in row] for row in matrix)
     return out.getvalue().encode()
+
+
+def two_step_distance_matrix_accepts(m) -> bool:
+    """The earlier two-step DistanceMatrix predicate, kept as a reference:
+    NaN, then the finite mask's symmetry, then the finite entries'
+    symmetry with the non-finite ones zeroed, then the diagonal, then
+    non-negativity."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.any(np.isnan(m)):
+        return False
+    finite_mask = np.isfinite(m)
+    if not np.array_equal(finite_mask, finite_mask.T):
+        return False
+    fin_scale = np.max(np.abs(m[finite_mask]), initial=0.0)
+    fin = np.where(finite_mask, m, 0.0)
+    if np.max(np.abs(fin - fin.T), initial=0.0) > 1e-9 * max(fin_scale, 1e-300):
+        return False
+    return not (np.any(np.diag(m) != 0.0) or np.any(m < 0))

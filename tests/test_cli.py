@@ -13,6 +13,10 @@ from lapgeo.cli import main
 from lapgeo.io import load_distance_matrix
 
 
+def _read_input(path):
+    pytest.fail("the input was read although the flags were unusable")
+
+
 def _write_circle(path, n=12, seed=6):
     cloud = lg.sample_uniform_circle(n, seed=seed)
     rows = [",".join(format(x, ".17g") for x in p) for p in cloud.points]
@@ -194,23 +198,35 @@ class TestEstimateVerb:
             ["--q", "4", "--epsilon", "0.5"],
             ["--adaptive", "--epsilon", "-1"],
             ["--adaptive", "--epsilon", "nan"],
+            # the last --r or --seed wins over the defaults below
+            ["--q", "7"],
+            ["--q", "0"],
+            ["--adaptive", "--r", "0"],
+            ["--q", "2", "--seed", "-1"],
         ],
     )
     def test_useless_flags_rejected_before_reading_input(
         self, tmp_path, capsys, monkeypatch, flags
     ):
-        def load(path):
-            pytest.fail("the input was read although the flags were unusable")
-
-        monkeypatch.setattr("lapgeo.cli.load_point_cloud", load)
+        monkeypatch.setattr("lapgeo.cli.load_point_cloud", _read_input)
         argv = ["estimate", "--input", str(tmp_path / "pts.csv"), "--dim", "1",
-                "--volume", "6.28", "--bandwidth", "0.3", *flags,
-                "--r", "6", "--seed", "0", "--output", str(tmp_path / "out.csv")]
+                "--volume", "6.28", "--bandwidth", "0.3", "--r", "6", "--seed", "0",
+                *flags, "--output", str(tmp_path / "out.csv")]
         assert main(argv) == 1
         assert "lapgeo: input error:" in capsys.readouterr().err
 
 
 class TestBaselineVerb:
+    @pytest.mark.parametrize("radius", ["-1", "nan"])
+    def test_bad_radius_rejected_before_reading_input(
+        self, tmp_path, capsys, monkeypatch, radius
+    ):
+        monkeypatch.setattr("lapgeo.cli.load_point_cloud", _read_input)
+        argv = ["baseline", "--input", str(tmp_path / "pts.csv"), "--radius", radius,
+                "--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert "lapgeo: input error: h_graph must be non-negative" in capsys.readouterr().err
+
     def test_writes_distances(self, tmp_path):
         pts = tmp_path / "pts.csv"
         out = tmp_path / "dist.csv"
@@ -294,13 +310,20 @@ class TestLossExperimentVerb:
             {"n_seeds": "3"},
             {"bandwidth_rule": 0.3},
             {"r_rule": "x"},
+            # h = 0.5 * n^400 leaves the double range
+            {"bandwidth_rule": {"c": 0.5, "alpha": -400}},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config):
+        out = tmp_path / "loss.csv"
+        if isinstance(config, dict):
+            # so that a config passing from_dict goes on to the sweep
+            config = {**config, "n_seeds": config.get("n_seeds", 1), "output_path": str(out)}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
         assert "lapgeo: input error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _fail(*args, **kwargs):

@@ -192,6 +192,10 @@ class TestEstimateAllDistances:
         with pytest.raises(InputError, match="n_samples"):
             lg.OptimizerConfig(n_samples=0, n_refine=0, seed=0)
 
+    def test_negative_seed_is_input_error(self):
+        with pytest.raises(InputError, match="seed"):
+            lg.OptimizerConfig(seed=-1)
+
     def test_dominates_euclidean(self):
         cloud = lg.sample_uniform_circle(15, seed=7)
         mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 15 ** -0.25)

@@ -69,6 +69,17 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             _cfg(**field)
 
+    def test_overflowing_bandwidth_rejected_before_any_cell(self, monkeypatch):
+        # h = 0.5 * 2000^100 overflows, though n = 10 would run
+        def cell(*args):
+            pytest.fail("a cell ran although a later bandwidth overflows")
+
+        monkeypatch.setattr("lapgeo.harness._run_cell", cell)
+        with pytest.raises(InputError, match="bandwidth_rule overflows at n = 2000"):
+            lg.run_loss_experiment(
+                _cfg(n_values=(10, 2000), bandwidth_rule={"c": 0.5, "alpha": -100})
+            )
+
     def test_from_dict_roundtrip(self):
         cfg = lg.ExperimentConfig.from_dict(
             {

@@ -51,9 +51,10 @@ def test_load_point_cloud_rejects_ragged(tmp_path):
 
 def test_load_point_cloud_rejects_empty(tmp_path):
     p = tmp_path / "pts.csv"
-    p.write_text("")
-    with pytest.raises(InputError):
-        lg.load_point_cloud(p)
+    for text in ["", "x,y\n"]:  # no rows, a header alone
+        p.write_text(text)
+        with pytest.raises(InputError, match="non-empty"):
+            lg.load_point_cloud(p)
 
 
 def test_distance_matrix_roundtrip_is_bitwise(tmp_path):

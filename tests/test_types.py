@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import lapgeo as lg
+from conftest import two_step_distance_matrix_accepts
 from lapgeo.errors import InputError
 
 
@@ -28,6 +32,10 @@ class TestValidatePointCloud:
     def test_rejects_ragged(self):
         with pytest.raises(InputError):
             lg.validate_point_cloud([[1.0, 2.0], [3.0]])
+
+    def test_rejects_zero_width(self):
+        with pytest.raises(InputError, match="non-empty 2-d"):
+            lg.validate_point_cloud([[], []])
 
     def test_rejects_nan_and_inf(self):
         with pytest.raises(InputError):
@@ -93,6 +101,20 @@ class TestGraphLaplacian:
         with pytest.raises(InputError):
             lg.GraphLaplacian(m)
 
+    def test_rejects_nsd_operator_with_a_negative_weight(self):
+        # zero row sums and NSD, but w_02 = -1: not diagonally dominant, so
+        # not a graph Laplacian; the raw array still decomposes
+        b = np.array([1.0, -2.0, 1.0])
+        with pytest.raises(InputError, match="weights must be non-negative"):
+            lg.GraphLaplacian(-np.outer(b, b))
+        dec = lg.eigendecompose(-np.outer(b, b))
+        assert np.allclose(dec.eigenvalues, [0.0, 0.0, -6.0], atol=1e-12)
+        assert dec.kernel_dim == 2
+
+    def test_accepts_the_empty_and_the_zero_operator(self):
+        assert lg.GraphLaplacian(np.zeros((0, 0))).n == 0
+        assert lg.GraphLaplacian(np.zeros((3, 3))).n == 3
+
 
 class TestTruncationParams:
     def test_rejects_q_above_r(self):
@@ -136,6 +158,62 @@ class TestDistanceMatrix:
     def test_tolerates_rounding_asymmetry(self):
         m = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
         lg.DistanceMatrix(m)
+
+
+def _accepts(m) -> bool:
+    try:
+        lg.DistanceMatrix(m)
+    except InputError:
+        return False
+    return True
+
+
+# -0.0 and 1 + 1e-13 probe the sign of zero and the symmetry tolerance
+ENTRIES = [0.0, -0.0, 1.0, 1.0 + 1e-13, 2.0, np.inf, -np.inf, np.nan, -1.0]
+
+
+class TestDistanceMatrixAcceptance:
+    def test_every_2x2_matches_the_two_step_reference(self):
+        accepted = 0
+        for entries in itertools.product(ENTRIES, repeat=4):
+            m = np.array(entries).reshape(2, 2)
+            assert _accepts(m) == two_step_distance_matrix_accepts(m), m
+            accepted += _accepts(m)
+        assert accepted > 0
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_matrices_match_the_two_step_reference(self, n):
+        rng = np.random.default_rng(n)
+        outcomes = set()
+        for _ in range(3000):
+            m = rng.choice(ENTRIES, size=(n, n))
+            # mostly near-valid matrices, so that the symmetry test decides
+            if rng.random() < 0.8:
+                np.fill_diagonal(m, rng.choice([0.0, -0.0], size=n))
+            if rng.random() < 0.7:  # mirror the upper triangle, signs of zero kept
+                m = np.where(np.tri(n, dtype=bool), m.T, m)
+                if rng.random() < 0.5:
+                    i, j = rng.integers(n, size=2)
+                    m[i, j] = rng.choice(ENTRIES)
+            expect = two_step_distance_matrix_accepts(m)
+            assert _accepts(m) == expect, m
+            outcomes.add(expect)
+        assert outcomes == {True, False}
+
+    def test_peak_is_one_copy_and_one_gap_buffer(self):
+        n = 1000
+        a = np.random.default_rng(0).uniform(size=(n, n))
+        m = a + a.T
+        np.fill_diagonal(m, 0.0)
+        m[0, 1] = m[1, 0] = np.inf
+        del a
+        tracemalloc.start()
+        try:
+            lg.DistanceMatrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n
 
 
 class TestValidateCandidate:
