@@ -78,7 +78,10 @@ def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:
     Every path length, and every sum of two, is then an exact float64, so
     the matrix is exactly symmetric and meets the triangle inequality with
     zero slack.  Each entry differs from the unquantised shortest path by
-    at most (edges on the path) x quantum / 2.
+    at most (edges on the path) x quantum / 2.  The quantised adjacency is
+    exactly symmetric (squared_distances is, and rounding is elementwise),
+    so it is searched as a directed graph: the same lengths, without the
+    undirected search's second pass over every edge through the transpose.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -87,7 +90,7 @@ def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:
     if total > 0:
         quantum = 2.0 ** (math.ceil(math.log2(2 * total)) - 52)
         adjacency.data = np.round(adjacency.data / quantum) * quantum
-    return DistanceMatrix(dijkstra(adjacency, directed=False))
+    return DistanceMatrix(dijkstra(adjacency, directed=True))
 
 
 def run_baseline(cloud: PointCloud, h_graph: float) -> DistanceMatrix:

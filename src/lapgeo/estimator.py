@@ -46,9 +46,13 @@ DEGENERATE = float("-inf")
 NEGATIVITY_TOL = -1e-8
 GRAD_EPS = 1e-12
 
-# Edge of the square point-index tiles the all-pairs estimate is floored
-# in: a tile's TILE x TILE x m difference buffer stays near 1 MB at the
-# m of about 600 embedding columns a default search probes.
+# Most points in a tile of the all-pairs estimate's Chebyshev floor.
+# Bisection leaves tiles of TILE / 2 to TILE points; a tile pair's
+# difference buffer, at most TILE x TILE x m, stays near 1 MB at the m of
+# about 600 embedding columns a default search probes.  Smaller tiles have
+# tighter range bounds, so the floor skips more columns, but cost more
+# Python per tile pair: 32 and 64 measured slower, as did 16 x 64
+# rectangles.
 TILE = 16
 
 # First coordinate step of the pattern search, a quarter of the box edge.
@@ -299,35 +303,91 @@ def estimate_distance(
         clamps.report()
 
 
-def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray):
-    """dist = max(dist, Chebyshev distance between the rows of emb), in
-    place, for a symmetric dist.
+def worker_count() -> int:
+    """Threads for the n^2 loops (numpy releases the GIL in their ufuncs):
+    one per usable CPU, or per CPU where affinity is unknown (macOS,
+    Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
-    Works over TILE x TILE blocks of point indices on and above the
-    diagonal; each block's result goes to (A, B) and (B, A), so every entry
-    is written by one block.  The rows of blocks are spread over a thread
-    pool with one worker per usable CPU, or per CPU where that is unknown
-    (numpy releases the GIL in these ufuncs).  max is exact and fl(x - y) =
+
+def _bisection_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recursive coordinate bisection: a permutation of the point indices
+    and the start of each of its tiles.  Each step splits an index set at
+    the median of its widest coordinate (stable argsort), until a set holds
+    at most TILE points; that set is a tile, so nearby points share tiles."""
+    perm, starts = [], []
+    stack = [np.arange(points.shape[0])]
+    size = 0
+    while stack:
+        idx = stack.pop()
+        if idx.size <= TILE:
+            perm.append(idx)
+            starts.append(size)
+            size += idx.size
+            continue
+        pts = points[idx]
+        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
+        idx = idx[np.argsort(pts[:, axis], kind="stable")]
+        half = idx.size // 2
+        stack += [idx[half:], idx[:half]]  # the lower half is tiled first
+    return np.concatenate(perm), np.array(starts)
+
+
+def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> int:
+    """dist = max(dist, Chebyshev distance between the rows of emb), in
+    place, for a symmetric dist that holds the chordal distances of points;
+    returns how many (tile pair, column) differences it evaluated.
+
+    The points are tiled in bisection order.  For tiles A and B, column j
+    changes no entry unless its range bound
+    ub_j = max(max_A F_j - min_B F_j, max_B F_j - min_A F_j) exceeds the
+    smallest chordal entry of the tile pair: rounding is monotone, so
+    |fl(F_aj - F_bj)| <= ub_j, and max is exact, so skipping the other
+    columns leaves every bit as it was.  Each tile pair on and above the
+    diagonal writes (A, B) and (B, A), so every entry is written once; the
+    rows of tiles are spread over worker_count() threads.  fl(x - y) =
     -fl(y - x), so the result does not depend on the worker count."""
     n, m = emb.shape
+    perm, starts = _bisection_order(points)
+    ends = np.append(starts[1:], n)
+    embp = emb[perm]
+    tmax = np.maximum.reduceat(embp, starts, axis=0)
+    tmin = np.minimum.reduceat(embp, starts, axis=0)
+    # each tile's columns, (m, tile size), C order
+    blocks = [np.ascontiguousarray(embp[a:b].T) for a, b in zip(starts, ends)]
+    del embp
+    dp = dist[np.ix_(perm, perm)]
+    cmin = np.minimum.reduceat(
+        np.minimum.reduceat(dp, starts, axis=0), starts, axis=1
+    )
 
-    def floor_rows(i0: int):
-        buf = np.empty((TILE, TILE, m))
-        rows = slice(i0, min(i0 + TILE, n))
-        for j0 in range(i0, n, TILE):
-            cols = slice(j0, min(j0 + TILE, n))
-            diff = buf[: rows.stop - i0, : cols.stop - j0]
-            np.subtract(emb[rows, None, :], emb[None, cols, :], out=diff)
+    def floor_rows(ti: int) -> int:
+        buf = np.empty(m * TILE * TILE)
+        ub = np.maximum(tmax[ti] - tmin[ti:], tmax[ti:] - tmin[ti])
+        keep = ub > cmin[ti, ti:, None]
+        rows = slice(starts[ti], ends[ti])
+        evaluated = 0
+        for tj, kept in enumerate(keep, start=ti):
+            cols = np.flatnonzero(kept)
+            if not cols.size:
+                continue
+            fa, fb = blocks[ti][cols], blocks[tj][cols]
+            diff = buf[: fa.size * fb.shape[1]].reshape(*fa.shape, fb.shape[1])
+            np.subtract(fa[:, :, None], fb[:, None, :], out=diff)
             np.abs(diff, out=diff)
-            block = np.maximum(dist[rows, cols], diff.max(axis=2))
-            dist[rows, cols] = block
-            dist[cols, rows] = block.T
+            sub = slice(starts[tj], ends[tj])
+            block = np.maximum(dp[rows, sub], diff.max(axis=0))
+            dp[rows, sub] = block
+            dp[sub, rows] = block.T
+            evaluated += cols.size
+        return evaluated
 
-    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS, Windows
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    with ThreadPoolExecutor(workers) as pool:
-        # list() re-raises a worker's exception here
-        list(pool.map(floor_rows, range(0, n, TILE)))
+    with ThreadPoolExecutor(worker_count()) as pool:
+        # sum() re-raises a worker's exception here
+        evaluated = sum(pool.map(floor_rows, range(starts.size)))
+    dist[np.ix_(perm, perm)] = dp
+    return evaluated
 
 
 def estimate_all_distances(
@@ -364,11 +424,11 @@ def estimate_all_distances(
         _search(embed_cols, cfg.q, opt)
     finally:
         clamps.report()
-    # C order, so that a tile reads its points' rows contiguously
+    # C order, so that the floor gathers each point's row contiguously
     emb = np.empty((dec.n, sum(f.shape[1] for f in cols)))
     np.concatenate(cols, axis=1, out=emb)
     del cols
-    _chebyshev_floor(dist, emb)
+    _chebyshev_floor(dist, emb, cloud.points)
     # freed before DistanceMatrix copies dist and takes its symmetry gap,
     # two n x n arrays that are this function's memory peak
     del emb

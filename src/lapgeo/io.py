@@ -15,10 +15,13 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import InputError
+from .estimator import worker_count
 from .types import DistanceMatrix, PointCloud
 
 
@@ -206,16 +209,26 @@ def save_distance_matrix(path, dist: DistanceMatrix) -> None:
     `load_distance_matrix` reads back the same doubles.  Entries in
     (1e-6, 1e17), and zeros and infinities, are formatted by numpy in
     blocks of a fixed number of entries; any other entry goes through
-    `format` one at a time.  A 0 x 0 matrix gives an empty file.  A file
-    that cannot be opened or written is an InputError naming the path.
+    `format` one at a time.  The blocks are formatted on worker_count()
+    threads, at most one more block than threads at a time, and written in
+    order; a block's bytes do not depend on the thread that formats it.  A
+    0 x 0 matrix gives an empty file.  A file that cannot be opened or
+    written is an InputError naming the path.
     """
     m = dist.matrix
     flat = m.reshape(-1)
     chars, kept = _digit_tables()
+    workers = worker_count()
     try:
-        with open(path, "wb") as fh:
+        with open(path, "wb") as fh, ThreadPoolExecutor(workers) as pool:
+            pending = deque()
             for start in range(0, flat.size, _BLOCK):
-                fh.write(_format_block(flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
+                pending.append(pool.submit(
+                    _format_block, flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
+                if len(pending) > workers:
+                    fh.write(pending.popleft().result())
+            while pending:
+                fh.write(pending.popleft().result())
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")
 

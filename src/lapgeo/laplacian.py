@@ -17,13 +17,20 @@ from .types import DistanceMatrix, GraphLaplacian, ManifoldConfig, PointCloud
 
 
 def squared_distances(points: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, exactly symmetric."""
+    """Pairwise squared Euclidean distances, exactly symmetric.
+
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at zero and averaged with its
+    transpose, computed in two n x n buffers."""
     sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    d2 = np.add(sq[:, None], sq[None, :])
+    g = points @ points.T
+    g *= 2.0
+    d2 -= g
     np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    out = np.add(d2, d2.T, out=g)
+    out *= 0.5
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def gram_distances(cloud: PointCloud) -> DistanceMatrix:
@@ -50,12 +57,15 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
             f"kernel scale vol / ((4 pi)^(d/2) n h^(d+2)) is not finite and "
             f"positive for volume {cfg.volume}, bandwidth {h}, d = {d}, n = {cloud.n}"
         )
-    d2 = squared_distances(cloud.points)
-    w = np.exp(-d2 / (4.0 * h * h))
-    np.fill_diagonal(w, 0.0)
+    # exp(-d2 / 4h^2), then times s, in the one n x n buffer
+    m = squared_distances(cloud.points)
+    np.negative(m, out=m)
+    m /= 4.0 * h * h
+    np.exp(m, out=m)
+    np.fill_diagonal(m, 0.0)
     # a finite scale can still overflow the row sums; GraphLaplacian rejects
     # the inf entries with an InputError, and numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        m = s * w
+        m *= s
         np.fill_diagonal(m, -m.sum(axis=1))
     return GraphLaplacian(m)

@@ -48,10 +48,16 @@ class PointCloud:
 def validate_point_cloud(raw) -> PointCloud:
     """Build a PointCloud from a raw sequence of coordinate vectors.
 
-    Names ragged rows, which only the raw rows show; PointCloud rejects
-    empty input, zero width and non-finite values.
+    Names rows that are not coordinate vectors (a bare number, say) and
+    ragged rows, which only the raw rows show; PointCloud rejects empty
+    input, zero width and non-finite values.
     """
     rows = list(raw)
+    if any(np.ndim(row) != 1 for row in rows):
+        raise InputError(
+            "each point must be a vector of coordinates; for a single "
+            "coordinate per point, pass rows of length 1"
+        )
     lengths = {len(row) for row in rows}
     if len(lengths) > 1:
         raise InputError(

@@ -93,3 +93,26 @@ def two_step_distance_matrix_accepts(m) -> bool:
     if np.max(np.abs(fin - fin.T), initial=0.0) > 1e-9 * max(fin_scale, 1e-300):
         return False
     return not (np.any(np.diag(m) != 0.0) or np.any(m < 0))
+
+
+def two_temporaries_squared_distances(points):
+    """The earlier squared_distances, kept as a reference: the same
+    operations in the same order, each into a fresh n x n array."""
+    sq = np.sum(points * points, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    np.maximum(d2, 0.0, out=d2)
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def fresh_array_laplacian(cloud, cfg):
+    """The earlier build_laplacian arithmetic, kept as a reference: kernel,
+    scale and diagonal each into a fresh n x n array."""
+    h, d = cfg.bandwidth, cfg.intrinsic_dim
+    s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
+    w = np.exp(-two_temporaries_squared_distances(cloud.points) / (4.0 * h * h))
+    np.fill_diagonal(w, 0.0)
+    m = s * w
+    np.fill_diagonal(m, -m.sum(axis=1))
+    return m

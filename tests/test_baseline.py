@@ -127,3 +127,31 @@ class TestShortestPathDistances:
         finite = np.isfinite(d)
         assert np.all(d[finite] % quantum == 0.0)
         assert np.all(np.abs(d - unquantised)[finite] <= (cloud.n - 1) * quantum / 2)
+
+    def test_directed_search_matches_undirected(self, monkeypatch):
+        # coincident points (zero-weight edges) in two components, plus
+        # scattered ones; the search sees the quantised adjacency
+        import scipy.sparse.csgraph as csgraph
+
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(30, 2)) * 0.2
+        b = rng.normal(size=(25, 2)) * 0.2 + 10.0
+        pts = np.vstack([a, a[:5], b, b[-4:]])
+        searched = []
+        search = csgraph.dijkstra
+
+        def spy(graph, directed):
+            searched.append((graph, directed))
+            return search(graph, directed=directed)
+
+        monkeypatch.setattr(csgraph, "dijkstra", spy)
+        g = build_neighbor_graph(_cloud(pts), h_graph=0.3)
+        d = shortest_path_distances(g).matrix
+        ((adjacency, directed),) = searched
+        assert directed
+        coo = adjacency.tocoo()
+        entries = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+        assert 0.0 in coo.data
+        assert entries == sorted(zip(coo.col.tolist(), coo.row.tolist(), coo.data.tolist()))
+        assert np.array_equal(d, search(adjacency, directed=False))
+        assert np.isinf(d[0, -1]) and d[0, 30] == 0.0

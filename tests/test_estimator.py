@@ -1,5 +1,6 @@
 import logging
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -283,9 +284,10 @@ class TestEstimateAllDistances:
     def test_tiled_floor_matches_brute_force(self, n):
         rng = np.random.default_rng(n)
         emb = rng.normal(size=(n, 37))
-        chordal = np.sqrt(squared_distances(rng.normal(size=(n, 2))))
+        points = rng.normal(size=(n, 2))
+        chordal = np.sqrt(squared_distances(points))
         dist = chordal.copy()
-        _chebyshev_floor(dist, emb)
+        _chebyshev_floor(dist, emb, points)
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         assert np.array_equal(dist, brute)
 
@@ -295,9 +297,9 @@ class TestEstimateAllDistances:
         embeddings = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb):
+        def spy(dist, emb, points):
             embeddings.append(emb.copy())
-            floor(dist, emb)
+            floor(dist, emb, points)
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
         d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=2))
@@ -318,6 +320,110 @@ class TestEstimateAllDistances:
         monkeypatch.delattr(os, "sched_getaffinity")
         results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
         assert all(np.array_equal(results[0], r) for r in results[1:])
+
+
+def _floor_inputs():
+    """(name, points, embedding) triples that stress the tile bounds.  Most
+    embeddings have columns sin(<w, x> + c), each Lipschitz with constant
+    |w|, so the bounds prune some tile pairs and keep others."""
+    rng = np.random.default_rng(11)
+
+    def smooth(pts, m=23, scale=0.6):
+        w = rng.normal(size=(pts.shape[1], m)) * scale
+        return np.sin(pts @ w + rng.uniform(0, 2 * np.pi, m))
+
+    pts = rng.normal(size=(60, 2))
+    dup = np.vstack([pts, pts[::3], pts[:4]])
+    line = np.outer(rng.uniform(-3, 3, 70), [0.6, 0.8])
+    two = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(45, 2)) + 40.0])
+    three = rng.normal(size=(90, 3))
+    flat = rng.normal(size=(80, 2))
+    flat_emb = smooth(flat, 9, 0.8)
+    flat_emb[:, 4] = 0.25
+    cases = [
+        ("duplicated", dup, smooth(dup)),
+        # F is the coordinate along the line: Chebyshev and chordal tie
+        ("collinear", line, line @ [[0.6], [0.8]]),
+        ("two-far-clusters", two, smooth(two)),
+        ("3-D", three, smooth(three)),
+        ("constant-column", flat, flat_emb),
+    ]
+    for n in (1, 2, TILE - 1, TILE + 1, 3 * TILE + 5, 200):
+        pts = rng.normal(size=(n, 2))
+        cases.append((f"n={n}", pts, smooth(pts)))
+    return cases
+
+
+FLOOR_INPUTS = _floor_inputs()
+
+
+def _floor(points, emb):
+    """(chordal, floored, evaluated) for a cloud and its embedding."""
+    chordal = np.sqrt(squared_distances(points))
+    dist = chordal.copy()
+    evaluated = _chebyshev_floor(dist, emb, points)
+    return chordal, dist, evaluated
+
+
+def _tile_pairs(points):
+    tiles = est._bisection_order(points)[1].size
+    return tiles * (tiles + 1) // 2
+
+
+class TestChebyshevFloor:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+    @pytest.mark.parametrize(
+        "points, emb", [c[1:] for c in FLOOR_INPUTS], ids=[c[0] for c in FLOOR_INPUTS]
+    )
+    def test_matches_brute_force(self, monkeypatch, cpus, points, emb):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave as often as possible
+        try:
+            chordal, dist, _ = _floor(points, emb)
+        finally:
+            sys.setswitchinterval(interval)
+        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+        assert dist.tobytes() == brute.tobytes()
+
+    def test_cases_prune_and_floor(self):
+        # the brute-force cases exercise both branches: columns of tile
+        # pairs are skipped, and the embedding raises entries
+        pruned = raised = 0
+        for _, points, emb in FLOOR_INPUTS:
+            chordal, dist, evaluated = _floor(points, emb)
+            pruned += evaluated < _tile_pairs(points) * emb.shape[1]
+            raised += bool(np.any(dist > chordal))
+        assert pruned >= 5 and raised >= 5
+
+    def test_zero_embedding_evaluates_diagonal_tiles_at_most(self):
+        points = np.random.default_rng(12).normal(size=(200, 2))
+        emb = np.zeros((200, 8))
+        chordal, dist, evaluated = _floor(points, emb)
+        tiles = est._bisection_order(points)[1].size
+        assert tiles == 16  # of 12 or 13 points
+        assert evaluated <= tiles * emb.shape[1]
+        assert np.array_equal(dist, chordal)
+
+    def test_circle_estimate_skips_most_columns(self, monkeypatch):
+        cfg, cloud = _circle(400, 14, q=4, r=12)
+        counts = []
+        floor = est._chebyshev_floor
+
+        def spy(dist, emb, points):
+            counts.append(floor(dist, emb, points) / emb.shape[1])
+
+        monkeypatch.setattr(est, "_chebyshev_floor", spy)
+        lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4))
+        (per_column,) = counts
+        assert per_column < 0.5 * _tile_pairs(cloud.points)
+
+    def test_bisection_order_tiles(self):
+        points = np.random.default_rng(13).normal(size=(200, 3))
+        perm, starts = est._bisection_order(points)
+        assert np.array_equal(np.sort(perm), np.arange(200))
+        sizes = np.diff(np.append(starts, 200))
+        assert starts[0] == 0 and np.all((sizes > 0) & (sizes <= TILE))
 
 
 class TestOraclePlugin:

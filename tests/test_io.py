@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import lapgeo as lg
 from conftest import csv_layout
 from lapgeo.errors import InputError
+from lapgeo.laplacian import squared_distances
 from lapgeo.io import (
     _BLOCK,
     check_output_dir,
@@ -153,6 +155,31 @@ def test_distance_matrix_layout_any_size(tmp_path, n):
     expected = csv_layout(m)
     assert (n > 0) == bool(expected)
     assert _saved_bytes(tmp_path / "d.csv", d) == expected
+
+
+def test_distance_matrix_bytes_independent_of_worker_count(tmp_path, monkeypatch):
+    # 300 * 300 entries: six blocks, more than any pool here holds at once
+    rng = np.random.default_rng(3)
+    m = np.sqrt(squared_distances(rng.normal(size=(300, 2))))
+    m[0, 1] = m[1, 0] = np.inf
+    d = lg.DistanceMatrix(m)
+    expected = csv_layout(m)
+    assert m.size > 5 * _BLOCK
+    for cpus in ({0}, {0, 1, 2}, os.sched_getaffinity(0)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        assert _saved_bytes(tmp_path / "d.csv", d) == expected
+    # platforms without sched_getaffinity (macOS, Windows) use cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _saved_bytes(tmp_path / "d.csv", d) == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_block_write_is_input_error():
+    # the write fails once blocks are in flight on the pool
+    m = np.ones((200, 200))
+    np.fill_diagonal(m, 0.0)
+    with pytest.raises(InputError, match="cannot write /dev/full"):
+        save_distance_matrix("/dev/full", lg.DistanceMatrix(m))
 
 
 def test_load_distance_matrix_rejects_malformed_cell(tmp_path):

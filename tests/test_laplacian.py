@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lapgeo as lg
+from conftest import fresh_array_laplacian, two_temporaries_squared_distances
 from lapgeo.laplacian import gram_distances, squared_distances
 
 
@@ -146,3 +147,31 @@ class TestGramDistances:
         assert np.array_equal(d2, d2.T)
         assert np.all(np.diag(d2) == 0.0)
         assert np.all(d2 >= 0.0)
+
+
+class TestInPlaceArithmetic:
+    """squared_distances and build_laplacian reuse their n x n buffers;
+    every bit equals the earlier fresh-array formulas."""
+
+    @staticmethod
+    def _clouds():
+        rng = np.random.default_rng(4)
+        yield rng.normal(size=(40, 3))
+        yield rng.normal(size=(33, 2)) * 1e3 + 1e5  # far from the origin
+        dup = rng.normal(size=(12, 2))
+        yield np.vstack([dup, dup[::2]])  # coincident points
+        yield lg.sample_uniform_circle(200, seed=6).points
+        yield np.array([[0.5]])
+
+    def test_squared_distances_bitwise(self):
+        for pts in self._clouds():
+            assert squared_distances(pts).tobytes() == \
+                two_temporaries_squared_distances(pts).tobytes()
+
+    @pytest.mark.parametrize("h", [0.05, 0.5, 3.0])
+    def test_build_laplacian_bitwise(self, h):
+        for pts in self._clouds():
+            cloud = lg.PointCloud(pts)
+            for cfg in (_cfg(h=h), _cfg(vol=4 * np.pi, h=h, d=2)):
+                m = lg.build_laplacian(cloud, cfg).matrix
+                assert m.tobytes() == fresh_array_laplacian(cloud, cfg).tobytes()

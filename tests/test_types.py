@@ -33,6 +33,11 @@ class TestValidatePointCloud:
         with pytest.raises(InputError):
             lg.validate_point_cloud([[1.0, 2.0], [3.0]])
 
+    @pytest.mark.parametrize("raw", [[1.0, 2.0], np.arange(3.0)])
+    def test_rejects_rows_that_are_numbers(self, raw):
+        with pytest.raises(InputError, match="vector of coordinates"):
+            lg.validate_point_cloud(raw)
+
     def test_rejects_zero_width(self):
         with pytest.raises(InputError, match="non-empty 2-d"):
             lg.validate_point_cloud([[], []])
