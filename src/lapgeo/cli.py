@@ -92,7 +92,7 @@ def _cmd_estimate(args) -> int:
     opt = OptimizerConfig(n_samples=args.samples, n_refine=args.refine, seed=args.seed)
     check_output_dir(args.output)
     cloud = load_point_cloud(args.input)
-    dec = eigendecompose(build_laplacian(cloud, manifold))
+    dec = eigendecompose(build_laplacian(cloud, manifold), args.r)
     if args.adaptive:
         trunc = TruncationParams(select_q(dec, args.r, args.epsilon or 0.0), args.r)
     dirac = DiracConfig(dec, trunc)

@@ -67,10 +67,7 @@ class DiracConfig:
     trunc: TruncationParams
 
     def __post_init__(self):
-        if self.trunc.r > self.decomposition.rank:
-            raise InputError(
-                f"r={self.trunc.r} exceeds rank {self.decomposition.rank}"
-            )
+        self.decomposition.check_r(self.trunc.r)
 
     @property
     def q(self) -> int:
@@ -126,17 +123,22 @@ def _dirac_squared_cols(
 
 def dirac_squared(cfg: DiracConfig, v) -> np.ndarray:
     """Squared Dirac field of a sample function, the discrete surrogate for
-    |grad f|^2 evaluated at every sample point."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (cfg.decomposition.n,):
+    |grad f|^2 evaluated at every sample point.  v may be any sample
+    function, so L v needs every mode: a partial decomposition is
+    rejected."""
+    dec = cfg.decomposition
+    if dec.partial:
         raise InputError(
-            f"v must have shape ({cfg.decomposition.n},), got {v.shape}"
+            f"dirac_squared needs every mode; the decomposition holds "
+            f"{dec.held} of rank {dec.rank}"
         )
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dec.n,):
+        raise InputError(f"v must have shape ({dec.n},), got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InputError("v must be finite")
-    vectors = cfg.decomposition.eigenvectors
-    # v may be any sample function, so L v goes through the whole spectrum
-    lv = vectors @ (cfg.decomposition.eigenvalues * (vectors.T @ v))
+    vectors = dec.eigenvectors
+    lv = vectors @ (dec.eigenvalues * (vectors.T @ v))
     return _dirac_squared_cols(cfg, v[:, None], lv[:, None])[:, 0]
 
 

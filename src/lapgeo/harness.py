@@ -134,8 +134,8 @@ def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
     and the geodesic target."""
     thetas = sample_circle_angles(n, seed)
     cloud = embed(thetas)
-    dec = eigendecompose(build_laplacian(cloud, cfg.manifold_for(n)))
-    r = min(cfg.r_for(n), dec.rank)
+    dec = eigendecompose(build_laplacian(cloud, cfg.manifold_for(n)), cfg.r_for(n))
+    r = min(cfg.r_for(n), dec.held)
     target = circle_geodesic(thetas[0], thetas)
     rows = []
     for q_spec in cfg.q_values:

@@ -36,6 +36,21 @@ def circle_decomposition():
     return lg.eigendecompose(lg.build_laplacian(cloud, cfg)), cloud
 
 
+def circle_laplacian(n, seed=1):
+    """Graph Laplacian of n uniform circle samples at h = n^-1/4 / 2."""
+    cloud = lg.sample_uniform_circle(n, seed=seed)
+    return lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25))
+
+
+@pytest.fixture(scope="session")
+def partial_decomposition():
+    """Kernel plus the first 4 modes of a 600-point circle Laplacian, from
+    the partial solver."""
+    dec = lg.eigendecompose(circle_laplacian(600), 4)
+    assert dec.partial and dec.held == 4
+    return dec
+
+
 def random_decomposition(rng, n=None, ambient=3):
     """Decomposition of a random small-cloud Laplacian plus its cloud."""
     if n is None:

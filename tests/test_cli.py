@@ -52,6 +52,23 @@ class TestEstimateVerb:
         expect = lg.estimate_all_distances(cfg, cloud, opt)
         assert np.array_equal(load_distance_matrix(out).matrix, expect.matrix)
 
+    def test_partial_spectrum_matches_full_spectrum_library(self, tmp_path):
+        # at n = 600, r = 12 the verb decomposes with the partial solver
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        cloud = _write_circle(pts, n=600, seed=3)
+        h = 0.5 * 600 ** -0.25
+        code = main(["estimate", "--input", str(pts), "--dim", "1",
+                     "--volume", format(2 * np.pi, ".17g"), "--bandwidth", repr(h),
+                     "--q", "4", "--r", "12", "--seed", "1", "--output", str(out)])
+        assert code == 0
+        lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, h))
+        assert lg.eigendecompose(lap, 12).partial
+        full = lg.eigendecompose(lap)
+        cfg = lg.DiracConfig(full, lg.TruncationParams(4, 12))
+        expect = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=1))
+        assert np.max(np.abs(load_distance_matrix(out).matrix - expect.matrix)) <= 1e-10
+
     def test_output_bytes_match_csv_layout(self, tmp_path):
         pts = tmp_path / "pts.csv"
         out = tmp_path / "dist.csv"
@@ -381,14 +398,21 @@ def test_console_script_installed():
     assert "estimate" in proc.stdout and "baseline" in proc.stdout
 
 
-def test_import_does_not_load_scipy():
-    # only the baseline verb needs scipy; it imports it on first use
+def test_import_does_not_load_scipy(tmp_path):
+    # only the baseline verb needs scipy; it imports it on first use.  A
+    # whole estimate run, partial eigensolver included, stays on numpy.
     src = str(Path(lg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = ("import sys, lapgeo, lapgeo.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    pts = tmp_path / "pts.csv"
+    _write_circle(pts, n=600, seed=2)
+    argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.283185307179586",
+            "--bandwidth", "0.1", "--q", "4", "--r", "12", "--seed", "0",
+            "--output", str(tmp_path / "dist.csv")]
+    show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for code in ("import sys, lapgeo, lapgeo.cli; " + show,
+                 f"import sys, lapgeo.cli; assert lapgeo.cli.main({argv!r}) == 0; " + show):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

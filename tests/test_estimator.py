@@ -78,6 +78,12 @@ class TestDiracSquared:
         assert np.max(np.abs(d2 - expected)) <= 0.05 * scale
         assert np.max(np.abs(d2 - expected)) < 1e-12
 
+    def test_rejects_partial_decomposition(self, partial_decomposition):
+        # L v of an arbitrary v needs every mode
+        cfg = lg.DiracConfig(partial_decomposition, lg.TruncationParams(q=2, r=4))
+        with pytest.raises(InputError, match="holds 4 of rank 599"):
+            dirac_squared(cfg, np.ones(600))
+
     @pytest.mark.parametrize("n,seed", [(30, 5), (200, 9)])
     def test_candidate_route_matches_full_spectrum(self, n, seed):
         # candidates compute L f = E_q (lambda_q * vhat) in the q-mode
@@ -88,6 +94,17 @@ class TestDiracSquared:
         for f, d2 in zip(f_cols.T, d2_cols.T):
             full = dirac_squared(cfg, f)
             assert np.max(np.abs(d2 - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+class TestDiracConfig:
+    def test_rejects_r_above_rank(self, circle_cfg):
+        dec = circle_cfg.decomposition
+        with pytest.raises(InputError, match=f"rank = {dec.rank}, got r=30"):
+            lg.DiracConfig(dec, lg.TruncationParams(q=2, r=30))
+
+    def test_rejects_r_beyond_the_held_modes(self, partial_decomposition):
+        with pytest.raises(InputError, match="non-kernel modes held = 4, got r=5"):
+            lg.DiracConfig(partial_decomposition, lg.TruncationParams(q=2, r=5))
 
 
 class TestGradSup:

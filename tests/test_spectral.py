@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import lapgeo as lg
+import lapgeo.spectral as spectral
 from lapgeo.errors import InputError, NoAdmissibleQError, NumericalError
 from lapgeo.spectral import (
     SIGN_EPS,
+    _group_by_gaps,
     _sign_normalize,
     operator_from_modes,
     project_leading,
 )
 
-from conftest import random_decomposition
+from conftest import circle_laplacian, random_decomposition
 
 
 def _diag_operator(values):
@@ -95,6 +97,102 @@ class TestEigendecompose:
         assert dec.kernel_dim == 1
 
 
+def _cluster_sines(dense, part):
+    """Sine of the largest angle between the dense and the partial
+    subspace of each whole eigen-cluster (relative gaps < 1e-6, as in
+    spectral_error) among the modes the partial decomposition holds."""
+    m = part.eigenvalues.shape[0]
+    sines = []
+    for group in _group_by_gaps(dense.eigenvalues[: m + 1]):
+        if group[-1] < m:  # a cluster the truncation splits has no partial twin
+            u, v = dense.eigenvectors[:, group], part.eigenvectors[:, group]
+            sines.append(np.linalg.norm(v - u @ (u.T @ v), 2))
+    return np.array(sines)
+
+
+class TestPartialEigendecompose:
+    def _check_against_dense(self, op, r, rho, kernel_dim):
+        part = lg.eigendecompose(op, r)
+        dense = lg.eigendecompose(op)
+        m = kernel_dim + r
+        assert part.partial and part.held == r
+        assert (part.n, part.rank, part.kernel_dim) == (dense.n, dense.rank, kernel_dim)
+        assert part.eigenvalues.shape == (m,) and part.eigenvectors.shape == (part.n, m)
+        assert np.all(part.eigenvalues[:kernel_dim] == 0.0)
+        assert np.max(np.abs(part.eigenvalues - dense.eigenvalues[:m])) <= 1e-12 * rho
+        sines = _cluster_sines(dense, part)
+        assert sines.size >= r // 2 and np.max(sines) <= 1e-9
+        assert np.allclose(part.eigenvectors.T @ part.eigenvectors, np.eye(m), atol=1e-12)
+
+    def test_circle_laplacian_matches_dense(self):
+        op = circle_laplacian(1000)
+        self._check_against_dense(op, 12, 2.0 * np.max(np.abs(np.diagonal(op.matrix))), 1)
+
+    def test_raw_operator_matches_dense(self):
+        # exact pairs -k^2 up to a bulk at -100, and a kernel of dimension 2:
+        # the constants and cos(500 theta), which 998 modes leave out
+        vals, modes = lg.analytic_eigenbasis(lg.equally_spaced_angles(1000), 998)
+        op = operator_from_modes(np.maximum(vals, -100.0), modes)
+        self._check_against_dense(op, 12, np.max(np.abs(op).sum(axis=1)), 2)
+
+    def test_repeated_calls_are_bit_identical(self, partial_decomposition):
+        again = lg.eigendecompose(circle_laplacian(600), 4)
+        assert np.array_equal(again.eigenvalues, partial_decomposition.eigenvalues)
+        assert np.array_equal(again.eigenvectors, partial_decomposition.eigenvectors)
+
+    def test_dense_below_crossover(self):
+        # the loss sweep's largest cell: n = 400 with r = 20 stays on eigh
+        op = circle_laplacian(400)
+        assert spectral.CROSSOVER * (20 + 1 + spectral.GUARD) > 400
+        dec, full = lg.eigendecompose(op, 20), lg.eigendecompose(op)
+        assert not dec.partial
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+
+    def test_kernel_filling_the_block_restarts_it(self):
+        # 25 far-apart clusters: the kernel fills the first two blocks
+        rng = np.random.default_rng(4)
+        centers = 100.0 * np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+        pts = (centers[:, None, :] + 0.3 * rng.normal(size=(25, 50, 2))).reshape(-1, 2)
+        op = lg.build_laplacian(lg.PointCloud(pts), lg.ManifoldConfig(2, 1.0, 0.5))
+        dec = lg.eigendecompose(op, 3)
+        assert dec.partial
+        assert dec.kernel_dim == lg.eigendecompose(op).kernel_dim == 25
+        assert np.all(dec.eigenvalues[25:] < 0.0)
+
+    def test_sweep_cap_falls_back_to_dense(self, monkeypatch):
+        op = circle_laplacian(600)
+        monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
+        dec = lg.eigendecompose(op, 4)
+        full = lg.eigendecompose(op)
+        assert not dec.partial
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+
+    def test_rejects_r_below_one(self):
+        with pytest.raises(InputError, match="r=0"):
+            lg.eigendecompose(circle_laplacian(20), 0)
+
+    def test_rejects_positive_eigenvalue(self):
+        op = np.diag(np.linspace(-1.0, 0.0, 600))
+        op[-1, -1] = 1e-3
+        with pytest.raises(NumericalError, match="not negative semidefinite"):
+            lg.eigendecompose(op, 4)
+
+    def test_readers_reject_r_beyond_the_held_modes(self, partial_decomposition):
+        dec = partial_decomposition
+        assert dec.rank == 599
+        msg = "non-kernel modes held = 4, got r=5"
+        with pytest.raises(InputError, match=msg):
+            dec.leading(5)
+        with pytest.raises(InputError, match=msg):
+            lg.select_q(dec, 5)
+        ref = np.ones((dec.n, 5))
+        with pytest.raises(InputError, match=msg):
+            lg.spectral_error(dec, -np.arange(1.0, 6.0), ref, 5)
+        assert dec.leading(4).shape == (600, 4)
+
+
 class TestProjectLeading:
     def test_drops_kernel_component(self):
         dec = lg.eigendecompose(_diag_operator([0.0, -1.0, -2.0]))
@@ -129,7 +227,7 @@ class TestProjectLeading:
 
     def test_rejects_r_above_rank(self):
         dec = lg.eigendecompose(_diag_operator([0.0, -1.0]))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="rank = 1, got r=2"):
             project_leading(dec, np.zeros(2), r=2)
 
 
