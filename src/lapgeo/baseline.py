@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .laplacian import squared_distances
-from .types import DistanceMatrix, PointCloud
+from .types import DistanceMatrix, PointCloud, _adopt
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -60,7 +60,8 @@ def build_neighbor_graph(cloud: PointCloud, h_graph: float) -> NeighborGraph:
     from scipy.sparse import csr_matrix
 
     check_radius(h_graph)
-    dist = np.sqrt(squared_distances(cloud.points))
+    dist = squared_distances(cloud.points)
+    np.sqrt(dist, out=dist)
     mask = dist < h_graph
     np.fill_diagonal(mask, False)
     rows, cols = np.nonzero(mask)
@@ -90,7 +91,7 @@ def shortest_path_distances(graph: NeighborGraph) -> DistanceMatrix:
     if total > 0:
         quantum = 2.0 ** (math.ceil(math.log2(2 * total)) - 52)
         adjacency.data = np.round(adjacency.data / quantum) * quantum
-    return DistanceMatrix(dijkstra(adjacency, directed=True))
+    return _adopt(DistanceMatrix, dijkstra(adjacency, directed=True))
 
 
 def run_baseline(cloud: PointCloud, h_graph: float) -> DistanceMatrix:

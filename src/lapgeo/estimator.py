@@ -34,6 +34,8 @@ from .types import (
     DistanceMatrix,
     PointCloud,
     TruncationParams,
+    _adopt,
+    row_blocks,
     validate_candidate,
 )
 
@@ -336,13 +338,39 @@ def _bisection_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(perm), np.array(starts)
 
 
+def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
+    """a = a[perm] in place, cycle by cycle, with one row of scratch."""
+    perm = perm.tolist()
+    done = [False] * len(perm)
+    for start, target in enumerate(perm):
+        if done[start] or target == start:
+            continue
+        saved = a[start].copy()
+        i = start
+        while perm[i] != start:
+            a[i] = a[perm[i]]
+            done[i] = True
+            i = perm[i]
+        a[i] = saved
+        done[i] = True
+
+
+def _permute(a: np.ndarray, perm: np.ndarray) -> None:
+    """a = a[perm][:, perm] in place: the rows cycle by cycle, then the
+    columns gathered one row block at a time."""
+    _permute_rows(a, perm)
+    for rows in row_blocks(*a.shape):
+        a[rows] = a[rows][:, perm]
+
+
 def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> int:
     """dist = max(dist, Chebyshev distance between the rows of emb), in
     place, for a symmetric dist that holds the chordal distances of points;
     returns how many (tile pair, column) differences it evaluated.
 
-    The points are tiled in bisection order.  For tiles A and B, column j
-    changes no entry unless its range bound
+    The points are tiled in bisection order.  dist and the rows of emb are
+    permuted into that order in place, floored there, and permuted back.
+    For tiles A and B, column j changes no entry unless its range bound
     ub_j = max(max_A F_j - min_B F_j, max_B F_j - min_A F_j) exceeds the
     smallest chordal entry of the tile pair: rounding is monotone, so
     |fl(F_aj - F_bj)| <= ub_j, and max is exact, so skipping the other
@@ -353,16 +381,13 @@ def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> i
     n, m = emb.shape
     perm, starts = _bisection_order(points)
     ends = np.append(starts[1:], n)
-    embp = emb[perm]
-    tmax = np.maximum.reduceat(embp, starts, axis=0)
-    tmin = np.minimum.reduceat(embp, starts, axis=0)
-    # each tile's columns, (m, tile size), C order
-    blocks = [np.ascontiguousarray(embp[a:b].T) for a, b in zip(starts, ends)]
-    del embp
-    dp = dist[np.ix_(perm, perm)]
+    _permute(dist, perm)
     cmin = np.minimum.reduceat(
-        np.minimum.reduceat(dp, starts, axis=0), starts, axis=1
+        np.minimum.reduceat(dist, starts, axis=0), starts, axis=1
     )
+    _permute_rows(emb, perm)
+    tmax = np.maximum.reduceat(emb, starts, axis=0)
+    tmin = np.minimum.reduceat(emb, starts, axis=0)
 
     def floor_rows(ti: int) -> int:
         buf = np.empty(m * TILE * TILE)
@@ -374,21 +399,23 @@ def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> i
             cols = np.flatnonzero(kept)
             if not cols.size:
                 continue
-            fa, fb = blocks[ti][cols], blocks[tj][cols]
-            diff = buf[: fa.size * fb.shape[1]].reshape(*fa.shape, fb.shape[1])
-            np.subtract(fa[:, :, None], fb[:, None, :], out=diff)
-            np.abs(diff, out=diff)
             sub = slice(starts[tj], ends[tj])
-            block = np.maximum(dp[rows, sub], diff.max(axis=0))
-            dp[rows, sub] = block
-            dp[sub, rows] = block.T
+            fa, fb = np.take(emb[rows], cols, axis=1), np.take(emb[sub], cols, axis=1)
+            diff = buf[: fa.shape[0] * fb.size].reshape(fa.shape[0], *fb.shape)
+            np.subtract(fa[:, None, :], fb[None, :, :], out=diff)
+            np.abs(diff, out=diff)
+            block = np.maximum(dist[rows, sub], diff.max(axis=2))
+            dist[rows, sub] = block
+            dist[sub, rows] = block.T
             evaluated += cols.size
         return evaluated
 
     with ThreadPoolExecutor(worker_count()) as pool:
         # sum() re-raises a worker's exception here
         evaluated = sum(pool.map(floor_rows, range(starts.size)))
-    dist[np.ix_(perm, perm)] = dp
+    inverse = np.argsort(perm)
+    _permute_rows(emb, inverse)
+    _permute(dist, inverse)
     return evaluated
 
 
@@ -400,14 +427,14 @@ def estimate_all_distances(
     probes, each scaled to unit gradient sup, floored at the chordal distance,
     D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).  Refinement
     climbs the global score (range of f) / sup_grad(f), the largest value a
-    candidate can deliver to any pair.
+    candidate can deliver to any pair.  The one n x n array, the chordal
+    matrix floored in place, is built after the search.
     """
     dec = cfg.decomposition
     if cloud.n != dec.n:
         raise InputError(
             f"cloud has {cloud.n} points but decomposition is {dec.n}-dimensional"
         )
-    dist = np.sqrt(squared_distances(cloud.points))
     cols = []
     clamps = _Clamps()
 
@@ -430,11 +457,10 @@ def estimate_all_distances(
     emb = np.empty((dec.n, sum(f.shape[1] for f in cols)))
     np.concatenate(cols, axis=1, out=emb)
     del cols
+    dist = squared_distances(cloud.points)
+    np.sqrt(dist, out=dist)
     _chebyshev_floor(dist, emb, cloud.points)
-    # freed before DistanceMatrix copies dist and takes its symmetry gap,
-    # two n x n arrays that are this function's memory peak
-    del emb
-    return DistanceMatrix(dist)
+    return _adopt(DistanceMatrix, dist)
 
 
 def oracle_plugin_estimate(cfg: DiracConfig, coeffs, a: int, b: int) -> float:

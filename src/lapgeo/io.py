@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .estimator import worker_count
-from .types import DistanceMatrix, PointCloud
+from .types import DistanceMatrix, PointCloud, _adopt
 
 
 def _parse_row(row, row_number: int):
@@ -254,7 +254,7 @@ def load_distance_matrix(path) -> DistanceMatrix:
         raise InputError(f"{path}: could not parse as numbers: {exc}")
     if m.size == 0:
         raise InputError(f"{path} is empty")
-    return DistanceMatrix(m)
+    return _adopt(DistanceMatrix, m)
 
 
 LOSS_HEADER = ["n", "q_spec", "q_used", "r_used", "seed", "estimate", "oracle", "loss", "status"]

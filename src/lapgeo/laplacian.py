@@ -13,29 +13,52 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .types import DistanceMatrix, GraphLaplacian, ManifoldConfig, PointCloud
+from .types import (
+    DistanceMatrix,
+    GraphLaplacian,
+    ManifoldConfig,
+    PointCloud,
+    _adopt,
+    row_blocks,
+)
 
 
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
     |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at zero and averaged with its
-    transpose, computed in two n x n buffers."""
+    transpose, in one n x n buffer: the Gram matrix is built in it, then
+    turned into distances and symmetrised in place over row blocks, whose
+    temporaries are each of about BLOCK_ENTRIES entries."""
     sq = np.sum(points * points, axis=1)
-    d2 = np.add(sq[:, None], sq[None, :])
-    g = points @ points.T
-    g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    out = np.add(d2, d2.T, out=g)
-    out *= 0.5
-    np.fill_diagonal(out, 0.0)
-    return out
+    d2 = points @ points.T
+    blocks = row_blocks(*d2.shape)
+    for rows in blocks:
+        g = d2[rows]
+        g *= 2.0
+        np.subtract(np.add(sq[rows, None], sq[None, :]), g, out=g)
+        np.maximum(g, 0.0, out=g)
+    for rows in blocks:
+        _symmetrise_rows(d2, rows)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _symmetrise_rows(d2: np.ndarray, rows: slice) -> None:
+    """(d2_ij + d2_ji) / 2 for i in rows, written to (i, j) and (j, i).  The
+    sum is the same both ways, so the columns from the block's first row on
+    cover every pair; later blocks read none of what this one writes."""
+    a = rows.start
+    half = np.add(d2[rows, a:], d2[a:, rows].T)
+    half *= 0.5
+    d2[rows, a:] = half
+    d2[a:, rows] = half.T
 
 
 def gram_distances(cloud: PointCloud) -> DistanceMatrix:
     """Pairwise Euclidean (chordal) distance matrix of the samples."""
-    return DistanceMatrix(np.sqrt(squared_distances(cloud.points)))
+    d2 = squared_distances(cloud.points)
+    return _adopt(DistanceMatrix, np.sqrt(d2, out=d2))
 
 
 def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
@@ -68,4 +91,4 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
     with np.errstate(over="ignore", invalid="ignore"):
         m *= s
         np.fill_diagonal(m, -m.sum(axis=1))
-    return GraphLaplacian(m)
+    return _adopt(GraphLaplacian, m)

@@ -44,8 +44,14 @@ CROSSOVER = 25
 # Filter degree per sweep: 16 took the fewest matrix products at n = 1000
 # and 2000 against 12, 24 and 32.
 DEGREE = 16
-# A block that has not converged after MAX_SWEEPS sweeps goes to eigh.
-MAX_SWEEPS = 30
+# A block of k columns that has not converged after n // (SWEEP_COST * k)
+# sweeps goes to eigh.  On the 2-core host eigh took as long as 4.2 to 6.8
+# sweeps at n / k from 25 to 31 and 7 to 13 up to n / k = 154, so near the
+# crossover, where blocks fail to converge, the cap spends one to two
+# eighs.  A tighter cap stops blocks that do converge: a restarted
+# 48-column block holding a 25-dimensional kernel needs 8 sweeps at
+# n / k = 26.  (The fixed cap of 30 spent 6 eighs on r = 30 at n = 1000.)
+SWEEP_COST = 3
 RESIDUAL_REL = 1e-12
 # A block whose Ritz values all lie within STALL_REL * rho of zero sits in
 # the kernel (or a cluster at zero) and cannot converge: the filter's gain
@@ -128,7 +134,7 @@ def eigendecompose(operator, r: int | None = None) -> SpectralDecomposition:
 
     With r given, the result holds the kernel and the first r non-kernel
     modes, from the partial solver; where that solver does not apply
-    (block not much smaller than n, no convergence within MAX_SWEEPS) the
+    (block not much smaller than n, no convergence within the sweep cap) the
     dense solver runs and the result holds every mode, as with r = None.
     """
     if isinstance(operator, GraphLaplacian):
@@ -214,9 +220,10 @@ def _filtered_block(a: np.ndarray, x: np.ndarray, want: int, rho: float):
     Returns the ascending Ritz values, the Ritz vectors and True once the
     top `want` columns have residual <= RESIDUAL_REL * rho; the same with
     False once the block stalls at zero (every Ritz value within
-    STALL_REL * rho of it); None after MAX_SWEEPS sweeps."""
+    STALL_REL * rho of it); None after n // (SWEEP_COST * k) sweeps of
+    the k columns, which cost about one eigh."""
     theta, x, _ = _rayleigh_ritz(a, x)
-    for _ in range(MAX_SWEEPS):
+    for _ in range(a.shape[0] // (SWEEP_COST * x.shape[1])):
         theta, x, ax = _rayleigh_ritz(a, _chebyshev_filter(a, x, rho, theta[0]))
         if theta[0] >= -STALL_REL * rho:
             return theta, x, False

@@ -2,7 +2,10 @@
 
 Every type checks its own invariants on construction, so an instance that
 exists is an instance that is valid.  Arrays are stored read-only; the
-types are safe to share between threads.
+types are safe to share between threads.  The public constructors copy
+what they are given; lapgeo's own builders hand over a fresh array through
+_adopt, which freezes it in place.  The n x n checks run over row blocks
+of about BLOCK_ENTRIES entries, so a check holds no n x n temporary.
 """
 
 from __future__ import annotations
@@ -14,10 +17,32 @@ import numpy as np
 from .errors import InputError
 
 
+# Entries per row block of an n x n pass, 1.5 MB of doubles: a 400-point
+# matrix, the largest the loss sweep builds, is one block.
+BLOCK_ENTRIES = 3 << 16
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def row_blocks(n: int, width: int):
+    """Slices of 0..n covering it in order, each of about BLOCK_ENTRIES
+    entries of a matrix with `width` columns (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _adopt(cls, matrix: np.ndarray):
+    """A cls around a fresh float array that nothing else will write,
+    frozen in place instead of copied, after the same checks as cls()."""
+    obj = cls.__new__(cls)
+    matrix.setflags(write=False)
+    obj._check(matrix)
+    obj.matrix = matrix
+    return obj
 
 
 @dataclass(frozen=True)
@@ -96,32 +121,59 @@ class GraphLaplacian:
 
     def __init__(self, matrix):
         m = _frozen_array(matrix)
-        scale = _check_symmetric(m, "Laplacian")
-        a = np.abs(m)
-        if np.any(np.abs(m.sum(axis=1)) > 1e-9 * a.max(axis=1, initial=1e-300)):
-            raise InputError("Laplacian rows must sum to zero (1e-9 relative)")
-        diag = np.diagonal(m)
-        # Gershgorin: d_i + R_i = d_i + sum_j |m_ij| - |d_i|
-        if np.any(diag + (a.sum(axis=1) - np.abs(diag)) > 1e-9 * scale):
-            raise InputError("Laplacian weights must be non-negative (Gershgorin, 1e-9 relative)")
+        self._check(m)
         self.matrix = m
+
+    @staticmethod
+    def _check(m: np.ndarray) -> None:
+        scale = _check_symmetric(m, "Laplacian")
+        faults = [_row_faults(m, rows, scale) for rows in row_blocks(*m.shape)]
+        if any(sums for sums, _ in faults):
+            raise InputError("Laplacian rows must sum to zero (1e-9 relative)")
+        if any(discs for _, discs in faults):
+            raise InputError("Laplacian weights must be non-negative (Gershgorin, 1e-9 relative)")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
 
+def _row_faults(m: np.ndarray, rows: slice, scale: float) -> tuple[bool, bool]:
+    """Whether some Laplacian row in rows has a non-zero sum (1e-9 of its
+    largest |entry|), and whether some has a Gershgorin disc reaching above
+    1e-9 scale."""
+    block = m[rows]
+    a = np.abs(block)
+    sums = np.any(np.abs(block.sum(axis=1)) > 1e-9 * a.max(axis=1, initial=1e-300))
+    diag = np.diagonal(block, offset=rows.start)
+    # Gershgorin: d_i + R_i = d_i + sum_j |m_ij| - |d_i|
+    discs = np.any(diag + (a.sum(axis=1) - np.abs(diag)) > 1e-9 * scale)
+    return bool(sums), bool(discs)
+
+
 def _check_symmetric(m: np.ndarray, name: str) -> float:
-    """Check that m is square, finite and symmetric; return max|m| (0 if empty)."""
+    """Check that m is square, finite and symmetric; return max|m| (0 if
+    empty).  Finiteness is settled over every row block before any
+    symmetry gap is taken, so NaN and inf raise before numpy can warn."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be square, got shape {m.shape}")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    # max propagates NaN, so one test covers NaN and inf entries
+    blocks = row_blocks(*m.shape)
+    # np.max propagates NaN, so one test covers NaN and inf entries
+    scale = np.max([np.max(np.abs(m[rows])) for rows in blocks], initial=0.0)
     if not np.isfinite(scale):
         raise InputError(f"{name} entries must be finite")
-    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
+    if scale > 0 and any(_asymmetric(m, rows, 1e-12 * scale) for rows in blocks):
         raise InputError(f"{name} must be symmetric (1e-12 relative)")
     return scale
+
+
+def _asymmetric(m: np.ndarray, rows: slice, tol: float) -> bool:
+    """Whether some |m_ij - m_ji| > tol for i in rows.  The gap is the same
+    both ways, so the columns from the block's first row on cover every
+    pair."""
+    gap = np.subtract(m[rows, rows.start:], m[rows.start:, rows].T)
+    np.abs(gap, out=gap)
+    return bool(np.any(gap > tol))
 
 
 @dataclass(frozen=True)
@@ -146,23 +198,32 @@ class DistanceMatrix:
 
     def __init__(self, matrix):
         m = _frozen_array(matrix)
+        self._check(m)
+        self.matrix = m
+
+    @staticmethod
+    def _check(m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {m.shape}")
-        if np.any(np.isnan(m)):
+        blocks = row_blocks(*m.shape)
+        nan = negative = False
+        scale = 0.0
+        for rows in blocks:
+            block = m[rows]
+            nan |= bool(np.any(np.isnan(block)))
+            negative |= bool(np.any(block < 0))  # -inf too; -0.0 compares equal to 0
+            scale = max(scale, np.max(block, where=np.isfinite(block), initial=0.0))
+        if nan:
             raise InputError("distance matrix contains NaN")
-        if np.any(m < 0):  # -inf too; -0.0 compares equal to 0
+        if negative:
             raise InputError("distances must be non-negative")
         if np.any(np.diagonal(m) != 0.0):
             raise InputError("distance matrix must have a zero diagonal")
-        scale = np.max(m, where=np.isfinite(m), initial=0.0)
         # inf - inf is NaN, which no comparison exceeds: an unconnected pair
         # passes, while +inf against a finite entry leaves an inf gap
         with np.errstate(invalid="ignore"):
-            gap = m - m.T
-        np.abs(gap, out=gap)
-        if np.any(gap > 1e-9 * max(scale, 1e-300)):
-            raise InputError("distance matrix must be symmetric")
-        self.matrix = m
+            if any(_asymmetric(m, rows, 1e-9 * max(scale, 1e-300)) for rows in blocks):
+                raise InputError("distance matrix must be symmetric")
 
     @property
     def n(self) -> int:

@@ -131,3 +131,38 @@ def fresh_array_laplacian(cloud, cfg):
     m = s * w
     np.fill_diagonal(m, -m.sum(axis=1))
     return m
+
+
+def two_buffer_squared_distances(points):
+    """The earlier squared_distances, kept as a reference: sums, Gram
+    matrix and symmetrisation in two n x n buffers, whole-matrix."""
+    sq = np.sum(points * points, axis=1)
+    d2 = np.add(sq[:, None], sq[None, :])
+    g = points @ points.T
+    g *= 2.0
+    d2 -= g
+    np.maximum(d2, 0.0, out=d2)
+    out = np.add(d2, d2.T, out=g)
+    out *= 0.5
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def whole_matrix_laplacian_accepts(m) -> bool:
+    """The earlier GraphLaplacian predicate, kept as a reference: square,
+    finite and symmetric (1e-12 of max|m|), zero row sums (1e-9 of each
+    row's max|m_ij|) and Gershgorin discs below 1e-9 max|m|, each test over
+    the whole matrix."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    scale = np.max(np.abs(m)) if m.size else 0.0
+    if not np.isfinite(scale):
+        return False
+    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-12 * scale:
+        return False
+    a = np.abs(m)
+    if np.any(np.abs(m.sum(axis=1)) > 1e-9 * a.max(axis=1, initial=1e-300)):
+        return False
+    diag = np.diagonal(m)
+    return not np.any(diag + (a.sum(axis=1) - np.abs(diag)) > 1e-9 * scale)

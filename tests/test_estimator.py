@@ -1,6 +1,7 @@
 import logging
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import lapgeo as lg
 from lapgeo.errors import EstimationFailedError, InputError
 import lapgeo.estimator as est
+import lapgeo.types as types
 from lapgeo.estimator import (
     DEGENERATE,
     GRAD_EPS,
@@ -441,6 +443,65 @@ class TestChebyshevFloor:
         assert np.array_equal(np.sort(perm), np.arange(200))
         sizes = np.diff(np.append(starts, 200))
         assert starts[0] == 0 and np.all((sizes > 0) & (sizes <= TILE))
+
+
+def _permutations():
+    rng = np.random.default_rng(15)
+    yield "n=0", np.arange(0)
+    yield "n=1", np.arange(1)
+    yield "identity", np.arange(9)
+    yield "one long cycle", np.roll(np.arange(11), 1)
+    yield "swaps and fixed points", np.array([1, 0, 2, 4, 3, 5])
+    for n in (7, 40):
+        yield f"random n={n}", rng.permutation(n)
+
+
+class TestInPlacePermutation:
+    @pytest.mark.parametrize("entries", [None, 1, 30])
+    def test_equals_fancy_indexing(self, monkeypatch, entries):
+        if entries is not None:  # column gathers over one or a few rows
+            monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(16)
+        for name, perm in _permutations():
+            n = perm.size
+            a = rng.normal(size=(n, n))
+            got = a.copy()
+            est._permute(got, perm)
+            assert np.array_equal(got, a[np.ix_(perm, perm)]), name
+            rows = rng.normal(size=(n, 3))
+            got = rows.copy()
+            est._permute_rows(got, perm)
+            assert np.array_equal(got, rows[perm]), name
+
+    def test_floor_leaves_the_embedding_as_it_was(self):
+        _, points, emb = FLOOR_INPUTS[-1]
+        before = emb.copy()
+        _floor(points, emb)
+        assert np.array_equal(emb, before)
+
+    def test_peak_is_one_matrix_plus_the_embedding(self, monkeypatch):
+        # one worker: each worker holds an m x TILE x TILE difference buffer
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n = 600
+        cfg, cloud = _circle(n, 17, q=4, r=12)
+        widths = []
+        floor = est._chebyshev_floor
+
+        def spy(dist, emb, points):
+            widths.append(emb.shape[1])
+            return floor(dist, emb, points)
+
+        monkeypatch.setattr(est, "_chebyshev_floor", spy)
+        tracemalloc.start()
+        try:
+            lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (m,) = widths
+        # the search's columns and the embedding they are copied into, or
+        # the chordal matrix, the embedding and the floor's scratch
+        assert peak < 8 * (n * n + 2 * n * m + m * TILE * TILE)
 
 
 class TestOraclePlugin:

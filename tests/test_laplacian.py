@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lapgeo as lg
-from conftest import fresh_array_laplacian, two_temporaries_squared_distances
+import lapgeo.types as types
+from conftest import (
+    fresh_array_laplacian,
+    two_buffer_squared_distances,
+    two_temporaries_squared_distances,
+)
 from lapgeo.laplacian import gram_distances, squared_distances
 
 
@@ -175,3 +181,73 @@ class TestInPlaceArithmetic:
             for cfg in (_cfg(h=h), _cfg(vol=4 * np.pi, h=h, d=2)):
                 m = lg.build_laplacian(cloud, cfg).matrix
                 assert m.tobytes() == fresh_array_laplacian(cloud, cfg).tobytes()
+
+
+class TestRowBlocks:
+    """squared_distances builds the Gram matrix in its one n x n buffer and
+    turns it into distances over row blocks: every bit equals the
+    two-buffer whole-matrix version, whatever the block size."""
+
+    @staticmethod
+    def _clouds():
+        rng = np.random.default_rng(9)
+        yield "one point", np.array([[0.5, -2.0]])
+        # 700 rows: blocks of 280, 280 and 140 at the default size
+        yield "n=700", lg.sample_uniform_circle(700, seed=3).points
+        dup = rng.normal(size=(30, 2))
+        yield "duplicates", np.vstack([dup, dup[::3], dup[:1]])
+        yield "3-d", rng.normal(size=(57, 3)) * 10.0
+        yield "far", rng.normal(size=(41, 2)) + 1e4
+
+    @pytest.mark.parametrize("entries", [None, 1, 100, 999])
+    def test_squared_distances_bitwise_two_buffer(self, monkeypatch, entries):
+        if entries is not None:  # 1 entry: one row per block
+            monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
+        for name, pts in self._clouds():
+            if entries is None and name == "n=700":
+                assert len(types.row_blocks(700, 700)) == 3
+            got = squared_distances(pts)
+            assert got.tobytes() == two_buffer_squared_distances(pts).tobytes(), name
+
+    def test_row_blocks_cover_in_order(self):
+        for n, width in [(0, 0), (1, 1), (5, 3), (700, 700), (443, 443), (444, 444)]:
+            blocks = types.row_blocks(n, width)
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+            assert all((b.stop - b.start) * width <= max(types.BLOCK_ENTRIES, width)
+                       for b in blocks)
+        # the loss sweep's largest matrix is one block
+        assert len(types.row_blocks(400, 400)) == 1
+
+    def test_builders_adopt_their_array(self):
+        cloud = lg.sample_uniform_circle(50, seed=2)
+        for made in (lg.build_laplacian(cloud, _cfg(h=0.3)), gram_distances(cloud)):
+            assert not made.matrix.flags.writeable
+            assert made.matrix.base is None  # owned, not a view of a copy source
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """One n x n array plus a block-sized temporary: the whole-matrix
+    checks of a copied matrix reached four n x n arrays."""
+
+    N = 600
+
+    def _bound(self):
+        return 8 * (self.N * self.N + 1.5 * types.BLOCK_ENTRIES)
+
+    def test_build_laplacian(self):
+        cloud = lg.sample_uniform_circle(self.N, seed=1)
+        cfg = _cfg(h=0.5 * self.N ** -0.25)
+        assert _traced_peak(lg.build_laplacian, cloud, cfg) < self._bound()
+
+    def test_gram_distances(self):
+        cloud = lg.sample_uniform_circle(self.N, seed=1)
+        assert _traced_peak(gram_distances, cloud) < self._bound()

@@ -162,8 +162,44 @@ class TestPartialEigendecompose:
 
     def test_sweep_cap_falls_back_to_dense(self, monkeypatch):
         op = circle_laplacian(600)
-        monkeypatch.setattr(spectral, "MAX_SWEEPS", 1)
+        # a cap of one sweep: 600 // (46 * 13 block columns)
+        monkeypatch.setattr(spectral, "SWEEP_COST", 46)
         dec = lg.eigendecompose(op, 4)
+        full = lg.eigendecompose(op)
+        assert not dec.partial
+        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+
+    @staticmethod
+    def _count_filters(monkeypatch):
+        calls = []
+        filt = spectral._chebyshev_filter
+
+        def counted(*args):
+            calls.append(args[1].shape[1])
+            return filt(*args)
+
+        monkeypatch.setattr(spectral, "_chebyshev_filter", counted)
+        return calls
+
+    def test_estimate_path_runs_its_sweeps_under_the_cap(self, monkeypatch):
+        # lapgeo estimate on 1000 circle points at r = 12 converges in 3
+        # sweeps of 21 columns, as it did under the earlier fixed cap of 30
+        calls = self._count_filters(monkeypatch)
+        dec = lg.eigendecompose(circle_laplacian(1000), 12)
+        assert dec.partial and dec.held == 12
+        assert calls == [21] * 3
+        assert 1000 // (spectral.SWEEP_COST * 21) >= 3
+
+    def test_unconverged_block_stops_at_the_cap(self, monkeypatch):
+        # r = 30 at n = 1000: 39 columns reach into the dense part of the
+        # spectrum and need 27 sweeps; the cap, 1000 // (SWEEP_COST * 39),
+        # ends the filter first, and eigh runs
+        calls = self._count_filters(monkeypatch)
+        op = circle_laplacian(1000)
+        dec = lg.eigendecompose(op, 30)
+        assert calls == [39] * (1000 // (spectral.SWEEP_COST * 39))
+        assert len(calls) >= 1
         full = lg.eigendecompose(op)
         assert not dec.partial
         assert np.array_equal(dec.eigenvalues, full.eigenvalues)

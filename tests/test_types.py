@@ -1,11 +1,13 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import lapgeo as lg
-from conftest import two_step_distance_matrix_accepts
+import lapgeo.types as types
+from conftest import two_step_distance_matrix_accepts, whole_matrix_laplacian_accepts
 from lapgeo.errors import InputError
 
 
@@ -205,6 +207,25 @@ class TestDistanceMatrixAcceptance:
             outcomes.add(expect)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("entries", [1, 5])
+    def test_row_blocks_match_the_two_step_reference(self, monkeypatch, entries):
+        monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        outcomes = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            m = rng.choice(ENTRIES, size=(n, n))
+            np.fill_diagonal(m, 0.0)
+            if rng.random() < 0.8:
+                m = np.where(np.tri(n, dtype=bool), m.T, m)
+                if rng.random() < 0.5:
+                    i, j = rng.integers(n, size=2)
+                    m[i, j] = rng.choice(ENTRIES)
+            expect = two_step_distance_matrix_accepts(m)
+            assert _accepts(m) == expect, m
+            outcomes.add(expect)
+        assert outcomes == {True, False}
+
     def test_peak_is_one_copy_and_one_gap_buffer(self):
         n = 1000
         a = np.random.default_rng(0).uniform(size=(n, n))
@@ -219,6 +240,77 @@ class TestDistanceMatrixAcceptance:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
+
+
+def _accepts_laplacian(m) -> bool:
+    try:
+        lg.GraphLaplacian(m)
+    except InputError:
+        return False
+    return True
+
+
+def _near_laplacians(rng, n, count):
+    """Graph Laplacians of random weights, most with one fault near a
+    check's threshold: a row sum, a weight's sign, an asymmetric pair, a
+    non-finite entry, or nothing."""
+    for _ in range(count):
+        w = rng.uniform(0.0, 2.0, size=(n, n))
+        w = np.triu(w, 1)
+        w = w + w.T
+        m = w - np.diag(w.sum(axis=1))
+        i, j = rng.integers(n, size=2)
+        kind = rng.integers(6)
+        if kind == 1:  # a row sum off by about its tolerance
+            m[i, i] += rng.choice([0.5, 2.0]) * 1e-9 * np.abs(m[i]).max()
+        elif kind == 2 and i != j:  # a weight of either sign near zero
+            m[i, j] = m[j, i] = rng.choice([-1.0, 1.0]) * rng.choice([1e-12, 1e-6, 0.5])
+            np.fill_diagonal(m, np.diagonal(m) - m.sum(axis=1))
+        elif kind == 3 and i != j:  # one pair asymmetric by about its tolerance
+            m[i, j] += rng.choice([0.5, 2.0]) * 1e-12 * np.abs(m).max()
+        elif kind == 4:
+            m[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+        yield m
+
+
+class TestGraphLaplacianRowBlocks:
+    @pytest.mark.parametrize("entries", [None, 1, 7, 40])
+    def test_accepts_exactly_what_the_whole_matrix_checks_accept(self, monkeypatch, entries):
+        if entries is not None:  # a few rows per block, or one
+            monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(entries or 0)
+        outcomes = set()
+        for n in (1, 2, 5, 9):
+            for m in _near_laplacians(rng, n, 300):
+                expect = whole_matrix_laplacian_accepts(m)
+                assert _accepts_laplacian(m) == expect, m
+                outcomes.add(expect)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_before_any_warning(self, monkeypatch, bad):
+        monkeypatch.setattr(types, "BLOCK_ENTRIES", 3)
+        m = np.zeros((6, 6))
+        m[5, 0] = bad  # in the last block, after finite ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite"):
+                lg.GraphLaplacian(m)
+            with pytest.raises(InputError, match="finite"):
+                lg.eigendecompose(m)
+
+
+class TestPublicConstructorsCopy:
+    def test_caller_array_stays_writeable_and_unaliased(self):
+        lap = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        dist = np.array([[0.0, 2.0], [2.0, 0.0]])
+        for cls, m in ((lg.GraphLaplacian, lap), (lg.DistanceMatrix, dist)):
+            made = cls(m)
+            assert m.flags.writeable
+            assert not made.matrix.flags.writeable
+            assert not np.shares_memory(m, made.matrix)
+            m[0, 0] = 5.0  # the caller's later writes do not reach it
+            assert made.matrix[0, 0] != 5.0
 
 
 class TestValidateCandidate:
