@@ -21,7 +21,6 @@ distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
 from __future__ import annotations
 
 import logging
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,8 +34,8 @@ from .types import (
     PointCloud,
     TruncationParams,
     _adopt,
-    row_blocks,
     validate_candidate,
+    worker_count,
 )
 
 log = logging.getLogger(__name__)
@@ -307,14 +306,6 @@ def estimate_distance(
         clamps.report()
 
 
-def worker_count() -> int:
-    """Threads for the n^2 loops (numpy releases the GIL in their ufuncs):
-    one per usable CPU, or per CPU where affinity is unknown (macOS,
-    Windows)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _bisection_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recursive coordinate bisection: a permutation of the point indices
     and the start of each of its tiles.  Each step splits an index set at
@@ -338,62 +329,41 @@ def _bisection_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(perm), np.array(starts)
 
 
-def _permute_rows(a: np.ndarray, perm: np.ndarray) -> None:
-    """a = a[perm] in place, cycle by cycle, with one row of scratch."""
-    perm = perm.tolist()
-    done = [False] * len(perm)
-    for start, target in enumerate(perm):
-        if done[start] or target == start:
-            continue
-        saved = a[start].copy()
-        i = start
-        while perm[i] != start:
-            a[i] = a[perm[i]]
-            done[i] = True
-            i = perm[i]
-        a[i] = saved
-        done[i] = True
+def _chebyshev_floor(
+    dist: np.ndarray, emb: np.ndarray, perm: np.ndarray, starts: np.ndarray
+) -> int:
+    """dist = max(dist, Chebyshev distance between the points' embedding
+    rows), in place, for a symmetric dist that holds the points' chordal
+    distances; returns how many (tile pair, column) differences it
+    evaluated.
 
-
-def _permute(a: np.ndarray, perm: np.ndarray) -> None:
-    """a = a[perm][:, perm] in place: the rows cycle by cycle, then the
-    columns gathered one row block at a time."""
-    _permute_rows(a, perm)
-    for rows in row_blocks(*a.shape):
-        a[rows] = a[rows][:, perm]
-
-
-def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> int:
-    """dist = max(dist, Chebyshev distance between the rows of emb), in
-    place, for a symmetric dist that holds the chordal distances of points;
-    returns how many (tile pair, column) differences it evaluated.
-
-    The points are tiled in bisection order.  dist and the rows of emb are
-    permuted into that order in place, floored there, and permuted back.
-    For tiles A and B, column j changes no entry unless its range bound
+    perm and starts are the points' bisection order and tile starts, and
+    row i of emb embeds point perm[i]; emb is only read.  Each row of
+    tiles gathers its strip of dist, its tile's rows against the columns
+    of the tiles from it on, in bisection order, floors it, and writes it
+    back to both (A, B) and (B, A), so every entry is written once.  For
+    tiles A and B, column j changes no entry unless its range bound
     ub_j = max(max_A F_j - min_B F_j, max_B F_j - min_A F_j) exceeds the
     smallest chordal entry of the tile pair: rounding is monotone, so
     |fl(F_aj - F_bj)| <= ub_j, and max is exact, so skipping the other
-    columns leaves every bit as it was.  Each tile pair on and above the
-    diagonal writes (A, B) and (B, A), so every entry is written once; the
-    rows of tiles are spread over worker_count() threads.  fl(x - y) =
-    -fl(y - x), so the result does not depend on the worker count."""
+    columns leaves every bit as it was.  The rows of tiles are spread over
+    worker_count() threads; their strips share no entry, and
+    fl(x - y) = -fl(y - x), so the result does not depend on the worker
+    count."""
     n, m = emb.shape
-    perm, starts = _bisection_order(points)
     ends = np.append(starts[1:], n)
-    _permute(dist, perm)
-    cmin = np.minimum.reduceat(
-        np.minimum.reduceat(dist, starts, axis=0), starts, axis=1
-    )
-    _permute_rows(emb, perm)
     tmax = np.maximum.reduceat(emb, starts, axis=0)
     tmin = np.minimum.reduceat(emb, starts, axis=0)
 
     def floor_rows(ti: int) -> int:
+        s = starts[ti]
+        rows = slice(s, ends[ti])
+        ix = np.ix_(perm[rows], perm[s:])
+        strip = dist[ix]
+        cmin = np.minimum.reduceat(strip.min(axis=0), starts[ti:] - s)
         buf = np.empty(m * TILE * TILE)
         ub = np.maximum(tmax[ti] - tmin[ti:], tmax[ti:] - tmin[ti])
-        keep = ub > cmin[ti, ti:, None]
-        rows = slice(starts[ti], ends[ti])
+        keep = ub > cmin[:, None]
         evaluated = 0
         for tj, kept in enumerate(keep, start=ti):
             cols = np.flatnonzero(kept)
@@ -404,19 +374,16 @@ def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray, points: np.ndarray) -> i
             diff = buf[: fa.shape[0] * fb.size].reshape(fa.shape[0], *fb.shape)
             np.subtract(fa[:, None, :], fb[None, :, :], out=diff)
             np.abs(diff, out=diff)
-            block = np.maximum(dist[rows, sub], diff.max(axis=2))
-            dist[rows, sub] = block
-            dist[sub, rows] = block.T
+            block = strip[:, sub.start - s:sub.stop - s]
+            np.maximum(block, diff.max(axis=2), out=block)
             evaluated += cols.size
+        dist[ix] = strip
+        dist[ix[::-1]] = strip  # (B, A): the transpose, through swapped indices
         return evaluated
 
     with ThreadPoolExecutor(worker_count()) as pool:
         # sum() re-raises a worker's exception here
-        evaluated = sum(pool.map(floor_rows, range(starts.size)))
-    inverse = np.argsort(perm)
-    _permute_rows(emb, inverse)
-    _permute(dist, inverse)
-    return evaluated
+        return sum(pool.map(floor_rows, range(starts.size)))
 
 
 def estimate_all_distances(
@@ -427,14 +394,16 @@ def estimate_all_distances(
     probes, each scaled to unit gradient sup, floored at the chordal distance,
     D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).  Refinement
     climbs the global score (range of f) / sup_grad(f), the largest value a
-    candidate can deliver to any pair.  The one n x n array, the chordal
-    matrix floored in place, is built after the search.
+    candidate can deliver to any pair.  The embedding's rows are made in
+    the points' bisection order, the floor's tile order.  The one n x n
+    array, the chordal matrix floored in place, is built after the search.
     """
     dec = cfg.decomposition
     if cloud.n != dec.n:
         raise InputError(
             f"cloud has {cloud.n} points but decomposition is {dec.n}-dimensional"
         )
+    perm, starts = _bisection_order(cloud.points)
     cols = []
     clamps = _Clamps()
 
@@ -444,7 +413,7 @@ def estimate_all_distances(
         sups = clamps.sup(d2_cols)
         ok = sups >= GRAD_EPS
         f = f_cols[:, ok] / sups[ok]
-        cols.append(f)
+        cols.append(f[perm])
         scores = np.full(vhat_cols.shape[1], DEGENERATE)
         scores[ok] = f.max(axis=0) - f.min(axis=0)
         return scores
@@ -459,7 +428,7 @@ def estimate_all_distances(
     del cols
     dist = squared_distances(cloud.points)
     np.sqrt(dist, out=dist)
-    _chebyshev_floor(dist, emb, cloud.points)
+    _chebyshev_floor(dist, emb, perm, starts)
     return _adopt(DistanceMatrix, dist)
 
 

@@ -3,6 +3,7 @@ r"""CSV input and output.
 Point clouds: one row per point, comma-separated decimal coordinates,
 optional single header row auto-detected (a first row that fails numeric
 parsing is a header; any later unparsable row is an error naming the row).
+A leading UTF-8 byte-order mark is skipped.
 
 Distance matrices: one row per point, each entry as `format(x, ".17g")`
 (17 significant digits, so values round-trip losslessly; infinities are
@@ -21,8 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InputError
-from .estimator import worker_count
-from .types import DistanceMatrix, PointCloud, _adopt
+from .types import DistanceMatrix, PointCloud, _adopt, worker_count
 
 
 def _parse_row(row, row_number: int):
@@ -35,7 +35,7 @@ def _parse_row(row, row_number: int):
 def load_point_cloud(path) -> PointCloud:
     """Read a point cloud CSV, auto-detecting an optional header row."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")

@@ -5,11 +5,13 @@ exists is an instance that is valid.  Arrays are stored read-only; the
 types are safe to share between threads.  The public constructors copy
 what they are given; lapgeo's own builders hand over a fresh array through
 _adopt, which freezes it in place.  The n x n checks run over row blocks
-of about BLOCK_ENTRIES entries, so a check holds no n x n temporary.
+of about BLOCK_ENTRIES entries, so a check holds no n x n temporary;
+worker_count() sizes the thread pools of the n x n loops.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,14 @@ def row_blocks(n: int, width: int):
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def worker_count() -> int:
+    """Threads for the n^2 loops (numpy releases the GIL in their ufuncs):
+    one per usable CPU, or per CPU where affinity is unknown (macOS,
+    Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _adopt(cls, matrix: np.ndarray):
     """A cls around a fresh float array that nothing else will write,
     frozen in place instead of copied, after the same checks as cls()."""
@@ -47,7 +57,9 @@ def _adopt(cls, matrix: np.ndarray):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """n sample points in ambient R^N, one per row."""
+    """n sample points in ambient R^N, one per row, finite and small enough
+    that 8 N max|x|^2, twice the largest possible squared distance, is
+    finite."""
 
     points: np.ndarray
 
@@ -57,8 +69,18 @@ class PointCloud:
             raise InputError(
                 f"point cloud must be a non-empty 2-d array, got shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
+        # np.max propagates NaN, so one test covers NaN and inf coordinates
+        peak = float(np.max(np.abs(pts)))
+        if not np.isfinite(peak):
             raise InputError("point cloud contains non-finite coordinates")
+        # a squared distance is at most 4 N max|x|^2, and squared_distances
+        # adds two of them to symmetrise; in Python floats, an overflow is
+        # inf, not a numpy warning
+        if 8.0 * pts.shape[1] * peak * peak == float("inf"):
+            raise InputError(
+                f"point cloud coordinates too large: |x| up to {peak:g} "
+                f"overflows squared distances in {pts.shape[1]} dimensions"
+            )
         object.__setattr__(self, "points", pts)
 
     @property

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,26 @@ class TestUnwritableOutput:
                                         "output_path": str(tmp_path)}))
         assert main(["loss-experiment", "--config", str(cfg_path)]) == 1
         assert f"lapgeo: input error: cannot write {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["estimate", "--dim", "1", "--volume", "6.28", "--bandwidth", "0.3",
+         "--q", "1", "--r", "1", "--seed", "0"],
+        ["baseline", "--radius", "1"],
+    ],
+)
+def test_overflowing_coordinates_are_input_error(tmp_path, capsys, verb):
+    # the points coincide, but their squared norms overflow
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1e160,0\n1e160,0\n")
+    argv = [verb[0], "--input", str(pts), *verb[1:], "--output", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert "lapgeo: input error: point cloud coordinates too large" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_console_script_installed():

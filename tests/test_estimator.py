@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import lapgeo as lg
 from lapgeo.errors import EstimationFailedError, InputError
 import lapgeo.estimator as est
-import lapgeo.types as types
 from lapgeo.estimator import (
     DEGENERATE,
     GRAD_EPS,
@@ -304,9 +303,7 @@ class TestEstimateAllDistances:
         rng = np.random.default_rng(n)
         emb = rng.normal(size=(n, 37))
         points = rng.normal(size=(n, 2))
-        chordal = np.sqrt(squared_distances(points))
-        dist = chordal.copy()
-        _chebyshev_floor(dist, emb, points)
+        chordal, dist, _ = _floor(points, emb)
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         assert np.array_equal(dist, brute)
 
@@ -316,9 +313,10 @@ class TestEstimateAllDistances:
         embeddings = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb, points):
-            embeddings.append(emb.copy())
-            floor(dist, emb, points)
+        def spy(dist, emb, perm, starts):
+            # the embedding's rows come in bisection order
+            embeddings.append(emb[np.argsort(perm)])
+            floor(dist, emb, perm, starts)
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
         d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=2))
@@ -377,10 +375,12 @@ FLOOR_INPUTS = _floor_inputs()
 
 
 def _floor(points, emb):
-    """(chordal, floored, evaluated) for a cloud and its embedding."""
+    """(chordal, floored, evaluated) for a cloud and its embedding, whose
+    rows the floor takes in the points' bisection order."""
     chordal = np.sqrt(squared_distances(points))
     dist = chordal.copy()
-    evaluated = _chebyshev_floor(dist, emb, points)
+    perm, starts = est._bisection_order(points)
+    evaluated = _chebyshev_floor(dist, emb[perm], perm, starts)
     return chordal, dist, evaluated
 
 
@@ -429,8 +429,8 @@ class TestChebyshevFloor:
         counts = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb, points):
-            counts.append(floor(dist, emb, points) / emb.shape[1])
+        def spy(dist, emb, perm, starts):
+            counts.append(floor(dist, emb, perm, starts) / emb.shape[1])
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
         lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4))
@@ -445,39 +445,20 @@ class TestChebyshevFloor:
         assert starts[0] == 0 and np.all((sizes > 0) & (sizes <= TILE))
 
 
-def _permutations():
-    rng = np.random.default_rng(15)
-    yield "n=0", np.arange(0)
-    yield "n=1", np.arange(1)
-    yield "identity", np.arange(9)
-    yield "one long cycle", np.roll(np.arange(11), 1)
-    yield "swaps and fixed points", np.array([1, 0, 2, 4, 3, 5])
-    for n in (7, 40):
-        yield f"random n={n}", rng.permutation(n)
-
-
 class TestInPlacePermutation:
-    @pytest.mark.parametrize("entries", [None, 1, 30])
-    def test_equals_fancy_indexing(self, monkeypatch, entries):
-        if entries is not None:  # column gathers over one or a few rows
-            monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
-        rng = np.random.default_rng(16)
-        for name, perm in _permutations():
-            n = perm.size
-            a = rng.normal(size=(n, n))
-            got = a.copy()
-            est._permute(got, perm)
-            assert np.array_equal(got, a[np.ix_(perm, perm)]), name
-            rows = rng.normal(size=(n, 3))
-            got = rows.copy()
-            est._permute_rows(got, perm)
-            assert np.array_equal(got, rows[perm]), name
+    """The floor applies the bisection order in place: through index arrays
+    into dist, whose strips are its only scratch, with the embedding only
+    read."""
 
     def test_floor_leaves_the_embedding_as_it_was(self):
         _, points, emb = FLOOR_INPUTS[-1]
-        before = emb.copy()
-        _floor(points, emb)
-        assert np.array_equal(emb, before)
+        perm, starts = est._bisection_order(points)
+        rows = emb[perm]
+        rows.setflags(write=False)
+        before = rows.copy()
+        dist = np.sqrt(squared_distances(points))
+        _chebyshev_floor(dist, rows, perm, starts)
+        assert rows.tobytes() == before.tobytes()
 
     def test_peak_is_one_matrix_plus_the_embedding(self, monkeypatch):
         # one worker: each worker holds an m x TILE x TILE difference buffer
@@ -487,9 +468,9 @@ class TestInPlacePermutation:
         widths = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb, points):
+        def spy(dist, emb, perm, starts):
             widths.append(emb.shape[1])
-            return floor(dist, emb, points)
+            return floor(dist, emb, perm, starts)
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
         tracemalloc.start()

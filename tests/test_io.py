@@ -35,6 +35,14 @@ def test_load_point_cloud_skips_header(tmp_path):
     assert cloud.n == 2
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"])
+def test_load_point_cloud_skips_byte_order_mark(tmp_path, header):
+    p = tmp_path / "pts.csv"
+    p.write_bytes(("\ufeff" + header + "0.0,1.0\n1.0,0.0\n2.0,2.0\n").encode("utf-8"))
+    cloud = lg.load_point_cloud(p)
+    assert np.array_equal(cloud.points, [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+
+
 def test_load_point_cloud_names_bad_row(tmp_path):
     p = tmp_path / "pts.csv"
     rows = ["%d.0,%d.0" % (i, i) for i in range(6)]

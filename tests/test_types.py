@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 import tracemalloc
 import warnings
 
@@ -9,6 +11,7 @@ import lapgeo as lg
 import lapgeo.types as types
 from conftest import two_step_distance_matrix_accepts, whole_matrix_laplacian_accepts
 from lapgeo.errors import InputError
+from lapgeo.laplacian import squared_distances
 
 
 class TestValidatePointCloud:
@@ -49,6 +52,30 @@ class TestValidatePointCloud:
             lg.validate_point_cloud([[np.nan, 0.0]])
         with pytest.raises(InputError):
             lg.validate_point_cloud([[np.inf, 0.0]])
+
+    @pytest.mark.parametrize("x, width", [(1e160, 2), (1.3e154, 2), (9.5e153, 2), (2.2e153, 30)])
+    def test_rejects_overflowing_squared_distances(self, x, width):
+        pts = np.zeros((2, width))
+        pts[0, 0] = x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="too large"):
+                lg.PointCloud(pts)
+
+    def test_accepts_up_to_the_bound_without_warning(self):
+        # opposite corners at the largest |x| that 8 N max|x|^2 admits in the
+        # plane: each squared distance is 4 N x^2, and the sum that
+        # squared_distances symmetrises is 8 N x^2, so 4 N would let it overflow
+        x = math.sqrt(sys.float_info.max / 16)
+        while 16.0 * x * x == math.inf:
+            x = math.nextafter(x, 0.0)
+        pts = np.array([[x, -x], [-x, x]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d2 = squared_distances(lg.PointCloud(pts).points)
+        assert np.all(np.isfinite(d2))
+        with pytest.raises(InputError, match="too large"):
+            lg.PointCloud(pts * 1.000001)
 
     def test_points_are_read_only(self):
         cloud = lg.validate_point_cloud([[0.0, 1.0], [1.0, 0.0]])
