@@ -6,7 +6,8 @@ the truncated Dirac square
 
     dirac2(v) = 1/2 L P(v * v) - P(v * L v),
 
-where P projects onto the kernel plus the leading r eigenvectors.  The
+where P projects onto Phi, the kernel plus the leading r eigenvectors, and
+L P = Phi diag(lambda) Phi^T, the kernel's eigenvalues being exact zeros.  The
 kernel component must be kept: it carries the mean of |grad f|^2, without
 which the field loses its constant part (for sin theta on the circle the
 result would be cos(2 theta)/2 instead of cos^2 theta).  The distance
@@ -107,19 +108,13 @@ def _dirac_squared_cols(
     cfg: DiracConfig, v_cols: np.ndarray, lv_cols: np.ndarray
 ) -> np.ndarray:
     """dirac2 applied to each column of v_cols, given lv_cols = L v_cols,
-    (n, m) -> (n, m)."""
+    (n, m) -> (n, m), through the one projection basis Phi."""
     dec = cfg.decomposition
-    lead = dec.leading(cfg.r)
-    lam_lead = dec.nonzero_eigenvalues[: cfg.r]
-    kernel = dec.kernel()
-
-    vsq = v_cols * v_cols
-    x = v_cols * lv_cols
-    # L P(v^2): the kernel part of the projection is annihilated by L,
-    # so only the leading block contributes.
-    term1 = 0.5 * (lead @ (lam_lead[:, None] * (lead.T @ vsq)))
-    term2 = lead @ (lead.T @ x) + kernel @ (kernel.T @ x)
-    return term1 - term2
+    phi = dec.eigenvectors[:, : dec.kernel_dim + cfg.r]
+    lam = dec.eigenvalues[: dec.kernel_dim + cfg.r]
+    return phi @ (
+        0.5 * lam[:, None] * (phi.T @ (v_cols * v_cols)) - phi.T @ (v_cols * lv_cols)
+    )
 
 
 def dirac_squared(cfg: DiracConfig, v) -> np.ndarray:
@@ -158,7 +153,7 @@ class _Clamps:
         if worst < NEGATIVITY_TOL:
             self.count += int(np.count_nonzero(d2_cols < NEGATIVITY_TOL))
             self.worst = min(self.worst, float(worst))
-        return np.sqrt(np.maximum(d2_cols, 0.0).max(axis=0))
+        return np.sqrt(np.maximum(d2_cols.max(axis=0), 0.0))
 
     def report(self):
         if self.count:
@@ -198,9 +193,9 @@ def _objective_cols(
 ) -> np.ndarray:
     """Objective for each coefficient column; DEGENERATE where the gradient
     sup vanishes under a non-zero separation."""
-    basis_q = cfg.decomposition.leading(cfg.q)
-    numer = np.abs((basis_q[a] - basis_q[b]) @ vhat_cols)
-    sups = clamps.sup(_candidate_cols(cfg, vhat_cols)[1])
+    f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
+    numer = np.abs(f_cols[a] - f_cols[b])
+    sups = clamps.sup(d2_cols)
     out = np.full(vhat_cols.shape[1], DEGENERATE)
     ok = sups >= GRAD_EPS
     out[ok] = numer[ok] / sups[ok]
@@ -412,8 +407,9 @@ def estimate_all_distances(
         f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
         sups = clamps.sup(d2_cols)
         ok = sups >= GRAD_EPS
-        f = f_cols[:, ok] / sups[ok]
-        cols.append(f[perm])
+        f = f_cols[np.ix_(perm, ok)]
+        f /= sups[ok]
+        cols.append(f)
         scores = np.full(vhat_cols.shape[1], DEGENERATE)
         scores[ok] = f.max(axis=0) - f.min(axis=0)
         return scores
@@ -443,6 +439,8 @@ def oracle_plugin_estimate(cfg: DiracConfig, coeffs, a: int, b: int) -> float:
     c = np.asarray(coeffs, dtype=float)
     if c.shape != (cfg.q,):
         raise InputError(f"coefficients must have shape ({cfg.q},), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise InputError("coefficients must be finite")
     peak = np.max(np.abs(c), initial=0.0)
     if peak == 0.0:
         return 0.0

@@ -83,7 +83,9 @@ def build_laplacian(cloud: PointCloud, cfg: ManifoldConfig) -> GraphLaplacian:
     # exp(-d2 / 4h^2), then times s, in the one n x n buffer
     m = squared_distances(cloud.points)
     np.negative(m, out=m)
-    m /= 4.0 * h * h
+    # a quotient that overflows to -inf gives exp 0, the weight it should be
+    with np.errstate(over="ignore"):
+        m /= 4.0 * h * h
     np.exp(m, out=m)
     np.fill_diagonal(m, 0.0)
     # a finite scale can still overflow the row sums; GraphLaplacian rejects

@@ -413,6 +413,20 @@ def test_overflowing_coordinates_are_input_error(tmp_path, capsys, verb):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_underflowing_weights_are_input_error(tmp_path, capsys):
+    # every weight is exp(-inf) = 0, so the operator has rank 0 < r
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1e150,0\n0,1e150\n0,0\n")
+    argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.28",
+            "--bandwidth", "1e-10", "--q", "1", "--r", "1", "--seed", "0",
+            "--output", str(tmp_path / "out.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert "lapgeo: input error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_console_script_installed():
     proc = subprocess.run(["lapgeo", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

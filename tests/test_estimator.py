@@ -2,6 +2,7 @@ import logging
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,28 @@ class TestDiracSquared:
             full = dirac_squared(cfg, f)
             assert np.max(np.abs(d2 - full)) <= 1e-12 * np.max(np.abs(full))
 
+    def test_two_dimensional_kernel_matches_explicit_projector(self):
+        # two unit circles 10 apart share no weight above the zero threshold,
+        # so the kernel holds both components' constants
+        rng = np.random.default_rng(4)
+        points = np.vstack([
+            lg.sample_uniform_circle(60, seed=3).points,
+            lg.sample_uniform_circle(60, seed=4).points + [10.0, 0.0],
+        ])
+        lap = lg.build_laplacian(lg.PointCloud(points), lg.ManifoldConfig(1, 4 * np.pi, 0.3))
+        dec = lg.eigendecompose(lap)
+        assert dec.kernel_dim == 2
+        r = 6
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=r))
+        proj = np.hstack([dec.kernel(), dec.leading(r)])
+        for v in (rng.normal(size=120), dec.leading(3) @ rng.uniform(-1, 1, 3)):
+            lv = lap.matrix @ v
+            expected = 0.5 * lap.matrix @ (proj @ (proj.T @ (v * v))) - proj @ (
+                proj.T @ (v * lv)
+            )
+            got = dirac_squared(cfg, v)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestDiracConfig:
     def test_rejects_r_above_rank(self, circle_cfg):
@@ -147,6 +170,21 @@ class TestGradSup:
         direct = grad_sup(circle_cfg, vhat)
         spectral = grad_sup_spectral(circle_cfg, vhat)
         assert abs(direct - spectral) <= 1e-8 * max(direct, 1.0)
+
+
+class TestClamps:
+    def test_sup_clamps_the_column_maxima(self):
+        # columns: all negative, mixed around NEGATIVITY_TOL, zero, positive
+        d2 = np.array([
+            [-3e-7, 4e-3, 0.0, 2.5],
+            [-1e-9, -2e-8, 0.0, 1e-14],
+            [-5e-2, -1e-10, 0.0, 0.75],
+        ])
+        clamps = est._Clamps()
+        sup = clamps.sup(d2)
+        assert sup.tobytes() == np.sqrt(np.maximum(d2, 0.0).max(axis=0)).tobytes()
+        assert clamps.count == np.count_nonzero(d2 < est.NEGATIVITY_TOL) == 3
+        assert clamps.worst == d2.min() == -5e-2
 
 
 class TestObjective:
@@ -497,6 +535,13 @@ class TestOraclePlugin:
             assert lg.oracle_plugin_estimate(
                 circle_cfg, c * coeffs, 1, 12
             ) == pytest.approx(base, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficients_are_input_error(self, circle_cfg, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="coefficients must be finite"):
+                lg.oracle_plugin_estimate(circle_cfg, np.array([1.0, bad, 0.5]), 0, 5)
 
     def test_feasible_below_optimized_sup(self, circle_cfg):
         dec = circle_cfg.decomposition

@@ -113,6 +113,15 @@ def test_overflowing_scale_is_silent_input_error(volume, bandwidth):
             lg.build_laplacian(cloud, _cfg(vol=volume, h=bandwidth))
 
 
+def test_underflowing_weights_are_silent_zeros():
+    # -d2 / 4h^2 leaves the double range; exp of the -inf is the zero weight
+    cloud = lg.PointCloud(np.array([[1e150, 0.0], [0.0, 1e150], [0.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lap = lg.build_laplacian(cloud, _cfg(h=1e-10))
+    assert not np.any(lap.matrix)
+
+
 @given(clouds)
 def test_row_sums_vanish(pts):
     lap = lg.build_laplacian(lg.PointCloud(pts), _cfg(d=pts.shape[1]))
