@@ -57,8 +57,10 @@ GRAD_EPS = 1e-12
 # rectangles.
 TILE = 16
 
-# First coordinate step of the pattern search, a quarter of the box edge.
+# First coordinate step of the pattern search, a quarter of the box edge,
+# and how many Monte-Carlo leaders it refines.
 STEP0 = 0.5
+KEEP_TOP = 5
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,19 @@ class DiracConfig:
 class OptimizerConfig:
     """Monte-Carlo plus pattern-search settings.
 
-    n_samples >= 1 draws from seed >= 0 start the search; keep_top bounds how
-    many of them get refined, by n_refine sweeps whose first step is STEP0.
+    n_samples >= 1 draws from seed >= 0 start the search; the KEEP_TOP best
+    of them get refined, by n_refine sweeps whose first step is STEP0.
     """
 
     n_samples: int = 200
     n_refine: int = 12
     seed: int = 0
-    keep_top: int = 5
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise InputError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.n_refine < 0:
             raise InputError(f"n_refine must be >= 0, got {self.n_refine}")
-        if self.keep_top < 1:
-            raise InputError(f"keep_top must be >= 1, got {self.keep_top}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
@@ -264,12 +263,12 @@ def _pattern_search(
 
 def _search(score_cols, q: int, opt: OptimizerConfig) -> float:
     """Best score over the seeded Monte-Carlo stream plus pattern search
-    from its keep_top non-degenerate leaders.  score_cols maps (q, m)
+    from its KEEP_TOP non-degenerate leaders.  score_cols maps (q, m)
     coefficient columns to m scores, DEGENERATE marking unusable ones."""
     cand = _mc_candidates(q, opt)
     vals = score_cols(cand)
     best = float(vals.max())
-    order = np.argsort(vals, kind="stable")[::-1][: opt.keep_top]
+    order = np.argsort(vals, kind="stable")[::-1][:KEEP_TOP]
     for idx in order[vals[order] != DEGENERATE]:
         best = max(
             best, _pattern_search(score_cols, cand[:, idx], float(vals[idx]), opt)
@@ -286,7 +285,7 @@ def estimate_distance(
 ) -> float:
     """Estimated intrinsic distance between samples a and b: the best
     objective value over the seeded candidate stream plus refinement of the
-    keep_top Monte-Carlo leaders.  No chordal floor is applied, so unlike
+    KEEP_TOP Monte-Carlo leaders.  No chordal floor is applied, so unlike
     estimate_all_distances the result can fall below the Euclidean
     distance between the two samples."""
     _check_pair(cfg, a, b)

@@ -2,8 +2,8 @@ r"""CSV input and output.
 
 Point clouds: one row per point, comma-separated decimal coordinates,
 optional single header row auto-detected (a first row that fails numeric
-parsing is a header; any later unparsable row is an error naming the row).
-A leading UTF-8 byte-order mark is skipped.
+parsing is a header; a later unparsable or ragged row is an error naming
+its file line).  A leading UTF-8 byte-order mark is skipped.
 
 Distance matrices: one row per point, each entry as `format(x, ".17g")`
 (17 significant digits, so values round-trip losslessly; infinities are
@@ -36,22 +36,22 @@ def load_point_cloud(path) -> PointCloud:
     """Read a point cloud CSV, auto-detecting an optional header row."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            raw = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    rows = []
-    start = 1
-    for i, row in enumerate(raw, start=1):
+    rows = {}  # file line -> coordinates
+    for k, (line, row) in enumerate(raw):
         try:
-            rows.append(_parse_row(row, i))
+            rows[line] = _parse_row(row, line)
         except InputError:
-            if i > 1:
+            if k:  # only the first non-empty row may be a header
                 raise
-            start = 2  # header row
-    if len({len(r) for r in rows}) > 1:
-        bad = next(i for i, r in enumerate(rows, start=start) if len(r) != len(rows[0]))
-        raise InputError(f"row {bad}: expected {len(rows[0])} columns, got a different count")
-    return PointCloud(rows)  # rejects an empty cloud and non-finite values
+    width = len(next(iter(rows.values()), []))
+    for line, r in rows.items():
+        if len(r) != width:
+            raise InputError(f"row {line}: expected {width} columns, got {len(r)}")
+    return PointCloud(list(rows.values()))  # rejects an empty cloud and non-finite values
 
 
 # 10**k for k = 0..22, every one an exact double, with its Veltkamp split

@@ -26,33 +26,29 @@ from .types import (
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at zero and averaged with its
-    transpose, in one n x n buffer: the Gram matrix is built in it, then
-    turned into distances and symmetrised in place over row blocks, whose
-    temporaries are each of about BLOCK_ENTRIES entries."""
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at zero, in one n x n buffer:
+    the Gram matrix is built in it, then each row block turns its upper
+    part into distances, averages its diagonal block with that block's
+    transpose and mirrors the rest below.  Each pair is computed once, so
+    symmetry and the zero diagonal hold by construction.  Temporaries are
+    each of about BLOCK_ENTRIES entries."""
     sq = np.sum(points * points, axis=1)
     d2 = points @ points.T
-    blocks = row_blocks(*d2.shape)
-    for rows in blocks:
-        g = d2[rows]
+    # a block reads only its rows' columns from its first row on; earlier
+    # blocks wrote, in these rows, only the columns before it
+    for rows in row_blocks(*d2.shape):
+        a, b = rows.start, rows.stop
+        g = d2[rows, a:]
         g *= 2.0
-        np.subtract(np.add(sq[rows, None], sq[None, :]), g, out=g)
+        np.subtract(np.add(sq[rows, None], sq[None, a:]), g, out=g)
         np.maximum(g, 0.0, out=g)
-    for rows in blocks:
-        _symmetrise_rows(d2, rows)
-    np.fill_diagonal(d2, 0.0)
+        diag = g[:, : b - a]
+        half = np.add(diag, diag.T)
+        half *= 0.5
+        np.fill_diagonal(half, 0.0)
+        diag[...] = half
+        d2[b:, rows] = g[:, b - a :].T
     return d2
-
-
-def _symmetrise_rows(d2: np.ndarray, rows: slice) -> None:
-    """(d2_ij + d2_ji) / 2 for i in rows, written to (i, j) and (j, i).  The
-    sum is the same both ways, so the columns from the block's first row on
-    cover every pair; later blocks read none of what this one writes."""
-    a = rows.start
-    half = np.add(d2[rows, a:], d2[a:, rows].T)
-    half *= 0.5
-    d2[rows, a:] = half
-    d2[a:, rows] = half.T
 
 
 def gram_distances(cloud: PointCloud) -> DistanceMatrix:

@@ -24,8 +24,8 @@ from .errors import InputError
 BLOCK_ENTRIES = 3 << 16
 
 
-def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype, copy=True)
+def _frozen_array(a) -> np.ndarray:
+    out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
 
@@ -74,8 +74,8 @@ class PointCloud:
         if not np.isfinite(peak):
             raise InputError("point cloud contains non-finite coordinates")
         # a squared distance is at most 4 N max|x|^2, and squared_distances
-        # adds two of them to symmetrise; in Python floats, an overflow is
-        # inf, not a numpy warning
+        # adds two of them in its diagonal blocks; in Python floats, an
+        # overflow is inf, not a numpy warning
         if 8.0 * pts.shape[1] * peak * peak == float("inf"):
             raise InputError(
                 f"point cloud coordinates too large: |x| up to {peak:g} "

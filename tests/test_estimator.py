@@ -227,11 +227,12 @@ class TestEstimateDistance:
         b = lg.estimate_distance(circle_cfg, 0, 15, opt)
         assert a == b
 
-    def test_monotone_in_samples(self, circle_cfg):
+    def test_monotone_in_samples(self, circle_cfg, monkeypatch):
         # nested candidate streams: more samples never lowers the sup
         vals = []
         for ns in (25, 50, 100, 200):
-            opt = lg.OptimizerConfig(n_samples=ns, n_refine=3, seed=2, keep_top=ns)
+            monkeypatch.setattr("lapgeo.estimator.KEEP_TOP", ns)
+            opt = lg.OptimizerConfig(n_samples=ns, n_refine=3, seed=2)
             vals.append(lg.estimate_distance(circle_cfg, 1, 9, opt))
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -543,13 +544,14 @@ class TestOraclePlugin:
             with pytest.raises(InputError, match="coefficients must be finite"):
                 lg.oracle_plugin_estimate(circle_cfg, np.array([1.0, bad, 0.5]), 0, 5)
 
-    def test_feasible_below_optimized_sup(self, circle_cfg):
+    def test_feasible_below_optimized_sup(self, circle_cfg, monkeypatch):
         dec = circle_cfg.decomposition
         rng = np.random.default_rng(10)
         target = rng.normal(size=30)
         coeffs = dec.leading(circle_cfg.q).T @ target
         plug = lg.oracle_plugin_estimate(circle_cfg, coeffs, 0, 9)
-        opt = lg.OptimizerConfig(n_samples=4000, n_refine=30, seed=0, keep_top=20)
+        monkeypatch.setattr("lapgeo.estimator.KEEP_TOP", 20)
+        opt = lg.OptimizerConfig(n_samples=4000, n_refine=30, seed=0)
         est = lg.estimate_distance(circle_cfg, 0, 9, opt)
         assert plug <= est + 1e-9
 

@@ -59,6 +59,17 @@ def test_load_point_cloud_rejects_ragged(tmp_path):
         lg.load_point_cloud(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0,0\n\n1,0\nx,1\n", "row 4: could not parse"),
+    ("0,0\n\n\n1,0,5\n", "row 4: expected 2 columns, got 3"),
+])
+def test_load_point_cloud_names_file_line_after_blank_lines(tmp_path, text, message):
+    p = tmp_path / "pts.csv"
+    p.write_text(text)
+    with pytest.raises(InputError, match=message):
+        lg.load_point_cloud(p)
+
+
 def test_load_point_cloud_rejects_empty(tmp_path):
     p = tmp_path / "pts.csv"
     for text in ["", "x,y\n"]:  # no rows, a header alone

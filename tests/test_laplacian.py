@@ -137,6 +137,16 @@ def test_negative_semidefinite(pts):
     assert w[-1] <= 1e-9 * scale
 
 
+class _SkewedGram(np.ndarray):
+    """Points whose Gram product x @ x.T scales the entries below its
+    diagonal by 1 + 2^-50."""
+
+    def __matmul__(self, other):
+        g = np.asarray(self) @ np.asarray(other)
+        g[np.tril_indices_from(g, -1)] *= 1.0 + 2.0 ** -50
+        return g
+
+
 class TestGramDistances:
     def test_right_triangle(self):
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
@@ -155,13 +165,19 @@ class TestGramDistances:
         brute = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         assert np.allclose(d, brute, atol=1e-7)
 
-    def test_squared_distances_exactly_symmetric(self):
+    def test_squared_distances_exactly_symmetric(self, monkeypatch):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(20, 3))
-        d2 = squared_distances(pts)
-        assert np.array_equal(d2, d2.T)
-        assert np.all(np.diag(d2) == 0.0)
-        assert np.all(d2 >= 0.0)
+        # symmetry by construction: the Gram product itself is not symmetric
+        skewed = rng.normal(size=(30, 2)).view(_SkewedGram)
+        for entries in (None, 1, 100, 999):
+            if entries is not None:
+                monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
+            for x in (pts, skewed):
+                d2 = squared_distances(x)
+                assert np.array_equal(d2, d2.T)
+                assert np.all(np.diag(d2) == 0.0)
+                assert np.all(d2 >= 0.0)
 
 
 class TestInPlaceArithmetic:
