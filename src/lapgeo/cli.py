@@ -56,9 +56,18 @@ def _build_parser() -> _Parser:
     group.add_argument("--adaptive", action="store_true", help="choose q from the spectrum")
     est.add_argument("--r", required=True, type=int, help="quadratic truncation")
     est.add_argument("--epsilon", type=float, default=None, help="--adaptive gap slack, >= 0")
-    est.add_argument("--seed", required=True, type=int, help="optimizer seed")
-    est.add_argument("--samples", type=int, default=200, help="Monte-Carlo candidates, >= 1")
-    est.add_argument("--refine", type=int, default=12, help="refinement sweeps")
+    est.add_argument(
+        "--seed", required=True, type=int,
+        help="accepted (>= 0) but unused: the landmark solver draws nothing",
+    )
+    est.add_argument(
+        "--samples", type=int, default=OptimizerConfig.n_samples,
+        help="landmark pairs of the primal-dual solve, >= 1 (at most one per point)",
+    )
+    est.add_argument(
+        "--refine", type=int, default=OptimizerConfig.n_refine,
+        help="exponentiated-gradient updates per landmark pair, >= 0",
+    )
     est.add_argument("--output", required=True, help="distance matrix CSV")
 
     base = sub.add_parser("baseline", help="shortest-path baseline distances")

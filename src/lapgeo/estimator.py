@@ -1,22 +1,33 @@
 """Spectral intrinsic-distance estimator.
 
-A candidate function is expanded in the leading q eigenvectors with
-coefficients in [-1, 1]^q.  Its squared gradient field is approximated by
-the truncated Dirac square
+A candidate function f = E_q vhat is expanded in the leading q
+eigenvectors.  Its squared gradient field is approximated by the truncated
+Dirac square
 
-    dirac2(v) = 1/2 L P(v * v) - P(v * L v),
+    dirac2(f) = 1/2 L P(f * f) - P(f * L f),
 
 where P projects onto Phi, the kernel plus the leading r eigenvectors, and
 L P = Phi diag(lambda) Phi^T, the kernel's eigenvalues being exact zeros.  The
 kernel component must be kept: it carries the mean of |grad f|^2, without
 which the field loses its constant part (for sin theta on the circle the
-result would be cos(2 theta)/2 instead of cos^2 theta).  The distance
-estimate for a pair (a, b) is the supremum over candidates of
-|f(a) - f(b)| / sup_grad(f), searched by seeded Monte Carlo plus
-coordinate-wise pattern refinement.  The all-pairs estimate is the
-Chebyshev distance between rows of the embedding F whose columns are the
-probed candidates scaled to unit gradient sup, floored at the chordal
-distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
+result would be cos(2 theta)/2 instead of cos^2 theta).  At every point the
+square is a quadratic form in the coefficients, dirac2(f)_i = vhat^T G_i vhat,
+so the distance estimate for a pair (a, b), Connes' formula truncated to q
+modes, is the quadratically constrained program
+
+    max c . vhat  subject to  vhat^T G_i vhat <= 1 at every i,
+    c = E_q[a] - E_q[b].
+
+A seedless primal-dual iteration solves it for many pairs in one batch, on
+the positive semidefinite parts of the G_i: a convex program whose feasible
+set lies inside the original one (Lagrangian duality for QCQPs, Boyd &
+Vandenberghe 2004, sec. 5; exponentiated gradient, Kivinen & Warmuth
+1997).  The all-pairs estimate solves landmark pairs, the landmarks by
+farthest-point sampling in the rows of E_q, each paired with the point
+chordally farthest from it.  Every solved pair gives
+one column of an embedding F, its candidate scaled to unit gradient sup,
+and the estimate is the Chebyshev distance between rows of F floored at the
+chordal distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ from .types import (
     PointCloud,
     TruncationParams,
     _adopt,
+    row_blocks,
     validate_candidate,
     worker_count,
 )
@@ -48,19 +60,14 @@ DEGENERATE = float("-inf")
 NEGATIVITY_TOL = -1e-8
 GRAD_EPS = 1e-12
 
-# Most points in a tile of the all-pairs estimate's Chebyshev floor.
-# Bisection leaves tiles of TILE / 2 to TILE points; a tile pair's
-# difference buffer, at most TILE x TILE x m, stays near 1 MB at the m of
-# about 600 embedding columns a default search probes.  Smaller tiles have
-# tighter range bounds, so the floor skips more columns, but cost more
-# Python per tile pair: 32 and 64 measured slower, as did 16 x 64
-# rectangles.
-TILE = 16
+# First exponentiated-gradient rate of the primal-dual solve's point
+# weights; step t uses ETA / sqrt(t + 1).
+ETA = 2.0
 
-# First coordinate step of the pattern search, a quarter of the box edge,
-# and how many Monte-Carlo leaders it refines.
-STEP0 = 0.5
-KEEP_TOP = 5
+# Relative tolerance of the solver's argmaxes: values this close to the
+# maximum tie, and the lowest index (landmarks) or earliest step (a pair's
+# best value) wins.
+TIE_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,14 +91,16 @@ class DiracConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Monte-Carlo plus pattern-search settings.
+    """Landmark primal-dual solver settings.
 
-    n_samples >= 1 draws from seed >= 0 start the search; the KEEP_TOP best
-    of them get refined, by n_refine sweeps whose first step is STEP0.
+    n_samples >= 1 landmark pairs (at most one per point), each solved by a
+    uniform-weight step plus n_refine >= 0 exponentiated-gradient updates.
+    seed >= 0 is checked and kept so that callers may pass one, but the
+    solver draws nothing: no estimate depends on it.
     """
 
-    n_samples: int = 200
-    n_refine: int = 12
+    n_samples: int = 32
+    n_refine: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -223,207 +232,209 @@ def objective(cfg: DiracConfig, vhat, a: int, b: int) -> float:
     return val
 
 
-def _mc_candidates(q: int, opt: OptimizerConfig) -> np.ndarray:
-    """(q, n_samples) uniform draws in the box; row-major generation keeps
-    the stream a prefix of any longer stream with the same seed."""
-    rng = np.random.default_rng(opt.seed)
-    return rng.uniform(-1.0, 1.0, (opt.n_samples, q)).T
+def _dirac_gram(cfg: DiracConfig) -> np.ndarray:
+    """G, (n, q * q): row i is the q x q matrix G_i with
+    dirac2(E_q vhat)_i = vhat^T G_i vhat, built through the projection basis
+    Phi of _dirac_squared_cols,
+    G_i[k, l] = sum_j Phi_ij (lambda_j / 2 - (lambda_k + lambda_l) / 2)
+                (Phi^T (e_k * e_l))_j."""
+    dec = cfg.decomposition
+    phi = dec.eigenvectors[:, : dec.kernel_dim + cfg.r]
+    lam = dec.eigenvalues[: dec.kernel_dim + cfg.r]
+    basis_q = dec.leading(cfg.q)
+    lam_q = dec.nonzero_eigenvalues[: cfg.q]
+    n, q = basis_q.shape
+    prods = (basis_q[:, :, None] * basis_q[:, None, :]).reshape(n, q * q)
+    half = 0.5 * (lam_q[:, None] + lam_q[None, :]).ravel()
+    return phi @ ((0.5 * lam[:, None] - half) * (phi.T @ prods))
 
 
-def _pattern_search(
-    score_cols, start: np.ndarray, start_val: float, opt: OptimizerConfig
-) -> float:
-    """Greedy coordinate ascent with step halving inside the box from start,
-    whose score is start_val; returns the best score, which is the largest
-    one probed.  A point already probed in this ascent is not scored again:
-    its score is at most the current one, so it could not be accepted.
-    Deterministic.
+def _solve_pairs(
+    gram: np.ndarray, c: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primal-dual solve of max c_l . v subject to v^T G_i v <= 1 at every
+    point i, for each row c_l of c, (L, q), with G = gram from _dirac_gram.
+
+    Each G_i is first replaced by its positive semidefinite part G_i+
+    (eigenvalues clipped at zero).  Since v^T G_i v <= v^T G_i+ v, the
+    feasible set shrinks to a convex one inside the original, so every
+    solution stays feasible, and the dual below is a convex program whose
+    iteration converges.  On the indefinite G_i themselves it did not: the
+    weights oscillated, and a 1e-14 change of the eigenvectors (another
+    BLAS thread count) moved estimates by up to 1e-2.
+
+    Weights mu_l on the simplex start uniform.  Step t sets
+    M_l = sum_i mu_li G_i+ and w_l = M_l^-1 c_l, scaled to max |w_l| = 1,
+    with g_li = w_l^T G_i+ w_l; w_l / sqrt(max g_l) is feasible with value
+    |c_l . w_l| / sqrt(max g_l), and weak duality bounds the sup by
+    sqrt(c_l^T M_l^-1 c_l).  Then mu_li is multiplied by
+    exp(eta_t (g_li / max g_l - 1)), eta_t = ETA / sqrt(t + 1), and
+    renormalised: mirror descent on the dual c^T M^-1 c, whose gradient is
+    -g, moving weight to the points where w_l's gradient peaks.  A value
+    replaces the best so far only when it is larger by more than TIE_REL
+    (relative).  A pair leaves the iteration for good when c_l = 0, when
+    M_l is not positive definite, or when max g_l is at most GRAD_EPS^2 (a
+    degenerate candidate); its weights could not move again.  Returns, per
+    pair, the best value (DEGENERATE where no step gave one), its
+    coefficient column w_l (q, L; zero where none) and the smallest bound
+    (inf where M_l was never positive definite), after one uniform-weight
+    step and `steps` updates.  Seedless and deterministic.
     """
-    cur, cur_val = start.copy(), start_val
-    seen = {tuple(cur.tolist())}
-    step = STEP0
-    for _ in range(opt.n_refine):
-        improved = False
-        for k in range(cur.shape[0]):
-            for sign in (1.0, -1.0):
-                cand = cur.copy()
-                cand[k] = np.clip(cand[k] + sign * step, -1.0, 1.0)
-                key = tuple(cand.tolist())
-                if key in seen:
-                    continue
-                seen.add(key)
-                val = float(score_cols(cand[:, None])[0])
-                if val > cur_val:
-                    cur, cur_val = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return cur_val
+    n = gram.shape[0]
+    n_pairs, q = c.shape
+    lam, vec = np.linalg.eigh(gram.reshape(n, q, q))
+    gram = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.transpose(0, 2, 1)).reshape(n, q * q)
+    value = np.full(n_pairs, DEGENERATE)
+    cols = np.zeros((n_pairs, q))
+    bound = np.full(n_pairs, np.inf)
+    live = np.flatnonzero(np.any(c != 0.0, axis=1))
+    mu = np.full((live.size, n), 1.0 / n)
+    for step in range(steps + 1):
+        m = (mu @ gram).reshape(-1, q, q)
+        eig = np.linalg.eigvalsh(m)
+        keep = eig[:, 0] > q * np.finfo(float).eps * eig[:, -1]
+        if not keep.all():
+            live, mu, m = live[keep], mu[keep], m[keep]
+        if not live.size:
+            break
+        w = np.linalg.solve(m, c[live, :, None])[:, :, 0]
+        bound[live] = np.minimum(bound[live], np.sqrt(np.einsum("lk,lk->l", c[live], w)))
+        w /= np.abs(w).max(axis=1, keepdims=True)
+        g = (w[:, :, None] * w[:, None, :]).reshape(live.size, q * q) @ gram.T
+        gmax = g.max(axis=1)
+        keep = gmax > GRAD_EPS * GRAD_EPS
+        if not keep.all():
+            live, mu, w, g, gmax = live[keep], mu[keep], w[keep], g[keep], gmax[keep]
+        val = np.abs(np.einsum("lk,lk->l", c[live], w)) / np.sqrt(gmax)
+        better = val > value[live] * (1.0 + TIE_REL)
+        value[live[better]] = val[better]
+        cols[live[better]] = w[better]
+        if step == steps or not live.size:
+            break
+        # in place, and without the constant factor exp(-eta_t), which the
+        # normalisation cancels
+        g *= (ETA / np.sqrt(step + 1.0) / gmax)[:, None]
+        mu *= np.exp(g, out=g)
+        mu /= mu.sum(axis=1, keepdims=True)
+    return value, cols.T, bound
 
 
-def _search(score_cols, q: int, opt: OptimizerConfig) -> float:
-    """Best score over the seeded Monte-Carlo stream plus pattern search
-    from its KEEP_TOP non-degenerate leaders.  score_cols maps (q, m)
-    coefficient columns to m scores, DEGENERATE marking unusable ones."""
-    cand = _mc_candidates(q, opt)
-    vals = score_cols(cand)
-    best = float(vals.max())
-    order = np.argsort(vals, kind="stable")[::-1][:KEEP_TOP]
-    for idx in order[vals[order] != DEGENERATE]:
-        best = max(
-            best, _pattern_search(score_cols, cand[:, idx], float(vals[idx]), opt)
-        )
-    if best == DEGENERATE:
-        raise EstimationFailedError(
-            "every candidate was degenerate (zero gradient sup)"
-        )
-    return best
+def _first_near_max(d: np.ndarray) -> int:
+    """The lowest index whose value is within TIE_REL (relative) of the
+    maximum: rounding that moves near-ties cannot move the choice."""
+    top = d.max()
+    return int(np.argmax(d >= top - TIE_REL * top))
+
+
+def _row_distances(x: np.ndarray, i: int) -> np.ndarray:
+    """Euclidean distance from row i of x to every row, elementwise (no
+    BLAS reduction)."""
+    diff = x - x[i]
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _landmark_pairs(
+    basis_q: np.ndarray, points: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """count landmark pairs (a, b): the a by farthest-point sampling in the
+    rows of E_q from point 0, each b the point farthest from its a in
+    chordal distance; both argmaxes take _first_near_max."""
+    near = np.full(basis_q.shape[0], np.inf)
+    a = np.zeros(count, dtype=np.intp)
+    for k in range(count):
+        np.minimum(near, _row_distances(basis_q, a[k]), out=near)
+        if k + 1 < count:
+            a[k + 1] = _first_near_max(near)
+    b = np.array([_first_near_max(_row_distances(points, i)) for i in a], dtype=np.intp)
+    return a, b
 
 
 def estimate_distance(
     cfg: DiracConfig, a: int, b: int, opt: OptimizerConfig
 ) -> float:
-    """Estimated intrinsic distance between samples a and b: the best
-    objective value over the seeded candidate stream plus refinement of the
-    KEEP_TOP Monte-Carlo leaders.  No chordal floor is applied, so unlike
-    estimate_all_distances the result can fall below the Euclidean
-    distance between the two samples."""
+    """Estimated intrinsic distance between samples a and b: the objective
+    of the best column of the pair's primal-dual solve (_solve_pairs with
+    opt.n_refine updates); 0 when E_q does not separate the two samples.
+    No chordal floor is applied, so unlike estimate_all_distances the result
+    can fall below the Euclidean distance between the two samples."""
     _check_pair(cfg, a, b)
     if a == b:
         return 0.0
+    basis_q = cfg.decomposition.leading(cfg.q)
+    c = basis_q[a] - basis_q[b]
+    if not np.any(c):
+        return 0.0
+    value, cols, _ = _solve_pairs(_dirac_gram(cfg), c[None, :], opt.n_refine)
+    if value[0] == DEGENERATE:
+        raise EstimationFailedError("the pair's solve found no admissible candidate")
     clamps = _Clamps()
     try:
-        return _search(
-            lambda c: _objective_cols(cfg, c, a, b, clamps), cfg.q, opt
-        )
+        return float(_objective_cols(cfg, cols, a, b, clamps)[0])
     finally:
         clamps.report()
 
 
-def _bisection_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recursive coordinate bisection: a permutation of the point indices
-    and the start of each of its tiles.  Each step splits an index set at
-    the median of its widest coordinate (stable argsort), until a set holds
-    at most TILE points; that set is a tile, so nearby points share tiles."""
-    perm, starts = [], []
-    stack = [np.arange(points.shape[0])]
-    size = 0
-    while stack:
-        idx = stack.pop()
-        if idx.size <= TILE:
-            perm.append(idx)
-            starts.append(size)
-            size += idx.size
-            continue
-        pts = points[idx]
-        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
-        idx = idx[np.argsort(pts[:, axis], kind="stable")]
-        half = idx.size // 2
-        stack += [idx[half:], idx[:half]]  # the lower half is tiled first
-    return np.concatenate(perm), np.array(starts)
-
-
-def _chebyshev_floor(
-    dist: np.ndarray, emb: np.ndarray, perm: np.ndarray, starts: np.ndarray
-) -> int:
+def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray) -> None:
     """dist = max(dist, Chebyshev distance between the points' embedding
-    rows), in place, for a symmetric dist that holds the points' chordal
-    distances; returns how many (tile pair, column) differences it
-    evaluated.
+    rows), in place, for a symmetric dist; emb holds one embedding column
+    per row, (m, n), and is only read.
 
-    perm and starts are the points' bisection order and tile starts, and
-    row i of emb embeds point perm[i]; emb is only read.  Each row of
-    tiles gathers its strip of dist, its tile's rows against the columns
-    of the tiles from it on, in bisection order, floors it, and writes it
-    back to both (A, B) and (B, A), so every entry is written once.  For
-    tiles A and B, column j changes no entry unless its range bound
-    ub_j = max(max_A F_j - min_B F_j, max_B F_j - min_A F_j) exceeds the
-    smallest chordal entry of the tile pair: rounding is monotone, so
-    |fl(F_aj - F_bj)| <= ub_j, and max is exact, so skipping the other
-    columns leaves every bit as it was.  The rows of tiles are spread over
-    worker_count() threads; their strips share no entry, and
-    fl(x - y) = -fl(y - x), so the result does not depend on the worker
-    count."""
-    n, m = emb.shape
-    ends = np.append(starts[1:], n)
-    tmax = np.maximum.reduceat(emb, starts, axis=0)
-    tmin = np.minimum.reduceat(emb, starts, axis=0)
+    Each row block of types.row_blocks floors its rows against the columns
+    from its first row on, one np.maximum per embedding column, and copies
+    the part right of its diagonal block, transposed, below the diagonal.
+    The blocks are spread over worker_count() threads; no two write the
+    same entry, and fl(x - y) = -fl(y - x), so the result does not depend
+    on the worker count."""
+    n = dist.shape[0]
 
-    def floor_rows(ti: int) -> int:
-        s = starts[ti]
-        rows = slice(s, ends[ti])
-        ix = np.ix_(perm[rows], perm[s:])
-        strip = dist[ix]
-        cmin = np.minimum.reduceat(strip.min(axis=0), starts[ti:] - s)
-        buf = np.empty(m * TILE * TILE)
-        ub = np.maximum(tmax[ti] - tmin[ti:], tmax[ti:] - tmin[ti])
-        keep = ub > cmin[:, None]
-        evaluated = 0
-        for tj, kept in enumerate(keep, start=ti):
-            cols = np.flatnonzero(kept)
-            if not cols.size:
-                continue
-            sub = slice(starts[tj], ends[tj])
-            fa, fb = np.take(emb[rows], cols, axis=1), np.take(emb[sub], cols, axis=1)
-            diff = buf[: fa.shape[0] * fb.size].reshape(fa.shape[0], *fb.shape)
-            np.subtract(fa[:, None, :], fb[None, :, :], out=diff)
+    def floor_rows(rows: slice):
+        start, stop = rows.start, rows.stop
+        block = dist[rows, start:]
+        diff = np.empty(block.shape)
+        for col in emb:
+            np.subtract(col[rows, None], col[None, start:], out=diff)
             np.abs(diff, out=diff)
-            block = strip[:, sub.start - s:sub.stop - s]
-            np.maximum(block, diff.max(axis=2), out=block)
-            evaluated += cols.size
-        dist[ix] = strip
-        dist[ix[::-1]] = strip  # (B, A): the transpose, through swapped indices
-        return evaluated
+            np.maximum(block, diff, out=block)
+        dist[stop:, rows] = block[:, stop - start:].T
 
     with ThreadPoolExecutor(worker_count()) as pool:
-        # sum() re-raises a worker's exception here
-        return sum(pool.map(floor_rows, range(starts.size)))
+        # list() re-raises a worker's exception here
+        list(pool.map(floor_rows, row_blocks(n, n)))
 
 
 def estimate_all_distances(
     cfg: DiracConfig, cloud: PointCloud, opt: OptimizerConfig
 ) -> DistanceMatrix:
     """Simultaneous estimate for every pair: the Chebyshev distance between
-    rows of the embedding whose columns are the candidates f the search
-    probes, each scaled to unit gradient sup, floored at the chordal distance,
-    D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).  Refinement
-    climbs the global score (range of f) / sup_grad(f), the largest value a
-    candidate can deliver to any pair.  The embedding's rows are made in
-    the points' bisection order, the floor's tile order.  The one n x n
-    array, the chordal matrix floored in place, is built after the search.
+    rows of the embedding whose columns are the solved landmark pairs'
+    candidates f, each scaled to unit gradient sup, floored at the chordal
+    distance, D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).
+    min(opt.n_samples, n) landmark pairs (_landmark_pairs) are solved in one
+    batch with opt.n_refine updates.  The one n x n array, the chordal
+    matrix floored in place, is built after the solve.
     """
     dec = cfg.decomposition
     if cloud.n != dec.n:
         raise InputError(
             f"cloud has {cloud.n} points but decomposition is {dec.n}-dimensional"
         )
-    perm, starts = _bisection_order(cloud.points)
-    cols = []
+    basis_q = dec.leading(cfg.q)
+    a, b = _landmark_pairs(basis_q, cloud.points, min(opt.n_samples, dec.n))
+    value, cols, _ = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], opt.n_refine)
     clamps = _Clamps()
-
-    def embed_cols(vhat_cols: np.ndarray) -> np.ndarray:
-        """Embed the non-degenerate columns; returns their global scores."""
-        f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
-        sups = clamps.sup(d2_cols)
-        ok = sups >= GRAD_EPS
-        f = f_cols[np.ix_(perm, ok)]
-        f /= sups[ok]
-        cols.append(f)
-        scores = np.full(vhat_cols.shape[1], DEGENERATE)
-        scores[ok] = f.max(axis=0) - f.min(axis=0)
-        return scores
-
     try:
-        _search(embed_cols, cfg.q, opt)
+        f_cols, d2_cols = _candidate_cols(cfg, cols[:, value != DEGENERATE])
+        sups = clamps.sup(d2_cols)
     finally:
         clamps.report()
-    # C order, so that the floor gathers each point's row contiguously
-    emb = np.empty((dec.n, sum(f.shape[1] for f in cols)))
-    np.concatenate(cols, axis=1, out=emb)
-    del cols
+    ok = sups >= GRAD_EPS
+    if not ok.any():
+        raise EstimationFailedError("no landmark pair gave an admissible candidate")
+    emb = (f_cols[:, ok] / sups[ok]).T.copy()
+    del f_cols, d2_cols
     dist = squared_distances(cloud.points)
     np.sqrt(dist, out=dist)
-    _chebyshev_floor(dist, emb, perm, starts)
+    _chebyshev_floor(dist, emb)
     return _adopt(DistanceMatrix, dist)
 
 

@@ -49,7 +49,7 @@ class TestEstimateVerb:
         mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.28)
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(2, 6))
-        opt = lg.OptimizerConfig(n_samples=200, n_refine=12, seed=0)
+        opt = lg.OptimizerConfig(seed=0)
         expect = lg.estimate_all_distances(cfg, cloud, opt)
         assert np.array_equal(load_distance_matrix(out).matrix, expect.matrix)
 

@@ -1,5 +1,6 @@
 import logging
 import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -14,16 +15,19 @@ from lapgeo.errors import EstimationFailedError, InputError
 import lapgeo.estimator as est
 from lapgeo.estimator import (
     DEGENERATE,
-    GRAD_EPS,
-    TILE,
     _candidate_cols,
+    _Clamps,
     _chebyshev_floor,
-    _mc_candidates,
+    _dirac_gram,
+    _landmark_pairs,
+    _objective_cols,
+    _solve_pairs,
     dirac_squared,
     grad_sup,
 )
 from lapgeo.laplacian import squared_distances
 from lapgeo.spectral import operator_from_modes
+from lapgeo.types import BLOCK_ENTRIES
 
 from conftest import grad_sup_spectral, random_decomposition
 
@@ -44,6 +48,17 @@ def _circle(n, seed, q, r):
     mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25)
     dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
     return lg.DiracConfig(dec, lg.TruncationParams(q=q, r=r)), cloud
+
+
+@pytest.fixture(scope="module")
+def circle_1000():
+    """Angles, cloud and kernel-plus-20-mode decomposition of 1000 uniform
+    circle samples (seed 1) at h = n^-1/4 / 2."""
+    n = 1000
+    thetas = lg.sample_circle_angles(n, 1)
+    cloud = lg.embed(thetas)
+    lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25))
+    return thetas, cloud, lg.eigendecompose(lap, 20)
 
 
 @pytest.fixture(scope="module")
@@ -227,14 +242,35 @@ class TestEstimateDistance:
         b = lg.estimate_distance(circle_cfg, 0, 15, opt)
         assert a == b
 
-    def test_monotone_in_samples(self, circle_cfg, monkeypatch):
-        # nested candidate streams: more samples never lowers the sup
-        vals = []
-        for ns in (25, 50, 100, 200):
-            monkeypatch.setattr("lapgeo.estimator.KEEP_TOP", ns)
-            opt = lg.OptimizerConfig(n_samples=ns, n_refine=3, seed=2)
-            vals.append(lg.estimate_distance(circle_cfg, 1, 9, opt))
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+    def test_independent_of_seed(self, circle_cfg):
+        # the solver draws nothing: the seed is checked, not used
+        vals = {
+            lg.estimate_distance(circle_cfg, 2, 19, lg.OptimizerConfig(seed=s))
+            for s in (0, 1, 12345)
+        }
+        assert len(vals) == 1
+
+    def test_monotone_in_steps(self, circle_cfg):
+        # each solve is a prefix of a longer one, and keeps its best column
+        vals = [
+            lg.estimate_distance(circle_cfg, 1, 9, lg.OptimizerConfig(n_refine=k))
+            for k in (0, 5, 20, 100, 300)
+        ]
+        assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+        assert vals[-1] > vals[0]
+
+    def test_inseparable_pair_is_zero(self):
+        # rows 0 and 1 of the one leading mode are equal: no f in its span
+        # separates the two points, and there is nothing to solve
+        vecs = np.column_stack([
+            np.ones(3) / np.sqrt(3),
+            np.array([1.0, 1.0, -2.0]) / np.sqrt(6),
+            np.array([1.0, -1.0, 0.0]) / np.sqrt(2),
+        ])
+        dec = lg.SpectralDecomposition(np.array([0.0, -1.0, -3.0]), vecs, 1)
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=1, r=2))
+        assert lg.estimate_distance(cfg, 0, 1, lg.OptimizerConfig()) == 0.0
+        assert lg.estimate_distance(cfg, 0, 2, lg.OptimizerConfig()) > 0.0
 
     def test_all_degenerate_raises(self):
         dec = lg.eigendecompose(np.diag([0.0, -1e-24]))
@@ -271,12 +307,14 @@ class TestEstimateAllDistances:
         mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 15 ** -0.25)
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=6))
-        # refinement off: both paths then probe exactly the shared stream
-        opt = lg.OptimizerConfig(n_samples=150, n_refine=0, seed=3)
+        opt = lg.OptimizerConfig(n_samples=6, seed=3)
         d = lg.estimate_all_distances(cfg, cloud, opt)
-        for a, b in ((0, 7), (2, 11), (5, 14)):
-            single = lg.estimate_distance(cfg, a, b, opt)
-            assert d.matrix[a, b] >= single - 1e-9
+        # a landmark pair's own column is in the embedding: the batched and
+        # the single solve are the same iteration
+        a, b = _landmark_pairs(dec.leading(2), cloud.points, opt.n_samples)
+        for ai, bi in zip(a, b):
+            single = lg.estimate_distance(cfg, ai, bi, opt)
+            assert d.matrix[ai, bi] >= single - 1e-9
 
     def test_exactly_symmetric(self):
         cloud = lg.sample_uniform_circle(200, seed=9)
@@ -286,23 +324,67 @@ class TestEstimateAllDistances:
         d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4)).matrix
         assert np.array_equal(d, d.T)
 
-    def test_chebyshev_over_monte_carlo_candidates(self):
+    def test_chebyshev_over_landmark_columns(self):
         cloud = lg.sample_uniform_circle(40, seed=10)
         mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 40 ** -0.25)
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=3, r=8))
-        # refinement off: the probed candidates are the Monte-Carlo stream
-        opt = lg.OptimizerConfig(n_samples=80, n_refine=0, seed=5)
+        opt = lg.OptimizerConfig(n_samples=12, n_refine=30)
         d = lg.estimate_all_distances(cfg, cloud, opt).matrix
+        basis_q = dec.leading(cfg.q)
+        a, b = _landmark_pairs(basis_q, cloud.points, opt.n_samples)
+        value, cols, _ = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], 30)
+        assert np.all(value > 0)
         ref = lg.gram_distances(cloud).matrix.copy()
-        for vhat in _mc_candidates(cfg.q, opt).T:
-            sup = grad_sup(cfg, vhat)
-            if sup < GRAD_EPS:
-                continue
-            f = dec.leading(cfg.q) @ vhat
-            ref = np.maximum(ref, np.abs(f[:, None] - f[None, :]) / sup)
+        for vhat in cols.T:
+            f = basis_q @ vhat
+            ref = np.maximum(ref, np.abs(f[:, None] - f[None, :]) / grad_sup(cfg, vhat))
         np.fill_diagonal(ref, 0.0)
         assert np.max(np.abs(d - ref)) <= 1e-12
+
+    def test_independent_of_seed(self):
+        cfg, cloud = _circle(60, 3, q=4, r=12)
+        ref = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=0)).matrix
+        other = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=7)).matrix
+        assert np.array_equal(ref, other)
+
+    def test_mean_error_falls_with_q(self, circle_1000):
+        # more modes bring the truncated sup closer to the geodesic; the
+        # chordal distance alone reads 0.298 here
+        thetas, cloud, dec = circle_1000
+        geo = lg.circle_geodesic(thetas[:, None], thetas[None, :])
+        off = ~np.eye(cloud.n, dtype=bool)
+        errs = []
+        for q in (4, 8, 12):
+            cfg = lg.DiracConfig(dec, lg.TruncationParams(q=q, r=20))
+            d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig()).matrix
+            errs.append(float(np.abs(d - geo)[off].mean()))
+        assert errs[1] <= 0.25
+        assert errs[0] > errs[1] > errs[2]
+
+    def test_independent_of_blas_threads(self, tmp_path):
+        # equally spaced points: every eigenvalue pair is exactly degenerate,
+        # so the basis inside each pair follows the BLAS thread count; q = 4
+        # keeps both pairs whole, and the estimate must not follow it
+        script = (
+            "import sys; import numpy as np; import lapgeo as lg\n"
+            "n = 600\n"
+            "cloud = lg.embed(lg.equally_spaced_angles(n))\n"
+            "mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25)\n"
+            "dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg), 12)\n"
+            "cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=12))\n"
+            "d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())\n"
+            "np.save(sys.argv[1], d.matrix)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"d{threads}.npy"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+            outs.append(np.load(out))
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
 
     def test_all_degenerate_raises(self):
         dec = lg.eigendecompose(np.diag([0.0, -1e-24]))
@@ -312,54 +394,34 @@ class TestEstimateAllDistances:
         with pytest.raises(EstimationFailedError):
             lg.estimate_all_distances(cfg, cloud, opt)
 
-    def test_no_candidate_scored_twice(self, monkeypatch):
-        cfg, cloud = _circle(100, 11, q=4, r=12)
-        opt = lg.OptimizerConfig(seed=6)
-        searches = []
-        search = est._search
-
-        def spy(score_cols, q, opt):
-            scored = []
-            searches.append(scored)
-
-            def counted(vhat_cols):
-                scored.extend(map(tuple, vhat_cols.T.tolist()))
-                return score_cols(vhat_cols)
-
-            return search(counted, q, opt)
-
-        monkeypatch.setattr(est, "_search", spy)
-        lg.estimate_all_distances(cfg, cloud, opt)
-        lg.estimate_distance(cfg, 3, 40, opt)
-        assert len(searches) == 2
-        for scored in searches:
-            # past the Monte-Carlo stream into refinement
-            assert len(scored) > opt.n_samples
-            assert len(set(scored)) == len(scored)
-
-    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE + 1, 3 * TILE + 5])
-    def test_tiled_floor_matches_brute_force(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 15, 17, 53])
+    def test_tiled_floor_matches_brute_force(self, monkeypatch, n):
+        # the floor's tiles are its row blocks, one per worker task
         rng = np.random.default_rng(n)
         emb = rng.normal(size=(n, 37))
         points = rng.normal(size=(n, 2))
-        chordal, dist, _ = _floor(points, emb)
-        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
-        assert np.array_equal(dist, brute)
+        brute = None
+        for workers in (1, 2):
+            monkeypatch.setattr(est, "worker_count", lambda w=workers: w)
+            chordal, dist = _floor(points, emb)
+            if brute is None:
+                brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+            assert dist.tobytes() == brute.tobytes()
 
     def test_floors_the_embedding_brute_force(self, monkeypatch):
-        n = 3 * TILE + 5
+        n = 53
         cfg, cloud = _circle(n, 12, q=4, r=12)
         embeddings = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb, perm, starts):
-            # the embedding's rows come in bisection order
-            embeddings.append(emb[np.argsort(perm)])
-            floor(dist, emb, perm, starts)
+        def spy(dist, emb):
+            embeddings.append(emb.T.copy())
+            floor(dist, emb)
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
-        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=2))
+        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
         (emb,) = embeddings
+        assert emb.shape == (n, 32)
         chordal = np.sqrt(squared_distances(cloud.points))
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         np.fill_diagonal(brute, 0.0)
@@ -379,9 +441,9 @@ class TestEstimateAllDistances:
 
 
 def _floor_inputs():
-    """(name, points, embedding) triples that stress the tile bounds.  Most
-    embeddings have columns sin(<w, x> + c), each Lipschitz with constant
-    |w|, so the bounds prune some tile pairs and keep others."""
+    """(name, points, embedding) triples for the floor.  Most embeddings
+    have columns sin(<w, x> + c), each Lipschitz with constant |w|, so some
+    entries stay chordal and others are raised."""
     rng = np.random.default_rng(11)
 
     def smooth(pts, m=23, scale=0.6):
@@ -404,7 +466,7 @@ def _floor_inputs():
         ("3-D", three, smooth(three)),
         ("constant-column", flat, flat_emb),
     ]
-    for n in (1, 2, TILE - 1, TILE + 1, 3 * TILE + 5, 200):
+    for n in (1, 2, 15, 17, 53, 200):
         pts = rng.normal(size=(n, 2))
         cases.append((f"n={n}", pts, smooth(pts)))
     return cases
@@ -414,18 +476,11 @@ FLOOR_INPUTS = _floor_inputs()
 
 
 def _floor(points, emb):
-    """(chordal, floored, evaluated) for a cloud and its embedding, whose
-    rows the floor takes in the points' bisection order."""
+    """(chordal, floored) for a cloud and its (n, m) embedding."""
     chordal = np.sqrt(squared_distances(points))
     dist = chordal.copy()
-    perm, starts = est._bisection_order(points)
-    evaluated = _chebyshev_floor(dist, emb[perm], perm, starts)
-    return chordal, dist, evaluated
-
-
-def _tile_pairs(points):
-    tiles = est._bisection_order(points)[1].size
-    return tiles * (tiles + 1) // 2
+    _chebyshev_floor(dist, np.ascontiguousarray(emb.T))
+    return chordal, dist
 
 
 class TestChebyshevFloor:
@@ -438,90 +493,128 @@ class TestChebyshevFloor:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers interleave as often as possible
         try:
-            chordal, dist, _ = _floor(points, emb)
+            chordal, dist = _floor(points, emb)
         finally:
             sys.setswitchinterval(interval)
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         assert dist.tobytes() == brute.tobytes()
 
-    def test_cases_prune_and_floor(self):
-        # the brute-force cases exercise both branches: columns of tile
-        # pairs are skipped, and the embedding raises entries
-        pruned = raised = 0
-        for _, points, emb in FLOOR_INPUTS:
-            chordal, dist, evaluated = _floor(points, emb)
-            pruned += evaluated < _tile_pairs(points) * emb.shape[1]
-            raised += bool(np.any(dist > chordal))
-        assert pruned >= 5 and raised >= 5
-
-    def test_zero_embedding_evaluates_diagonal_tiles_at_most(self):
-        points = np.random.default_rng(12).normal(size=(200, 2))
-        emb = np.zeros((200, 8))
-        chordal, dist, evaluated = _floor(points, emb)
-        tiles = est._bisection_order(points)[1].size
-        assert tiles == 16  # of 12 or 13 points
-        assert evaluated <= tiles * emb.shape[1]
-        assert np.array_equal(dist, chordal)
-
-    def test_circle_estimate_skips_most_columns(self, monkeypatch):
-        cfg, cloud = _circle(400, 14, q=4, r=12)
-        counts = []
-        floor = est._chebyshev_floor
-
-        def spy(dist, emb, perm, starts):
-            counts.append(floor(dist, emb, perm, starts) / emb.shape[1])
-
-        monkeypatch.setattr(est, "_chebyshev_floor", spy)
-        lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4))
-        (per_column,) = counts
-        assert per_column < 0.5 * _tile_pairs(cloud.points)
-
-    def test_bisection_order_tiles(self):
-        points = np.random.default_rng(13).normal(size=(200, 3))
-        perm, starts = est._bisection_order(points)
-        assert np.array_equal(np.sort(perm), np.arange(200))
-        sizes = np.diff(np.append(starts, 200))
-        assert starts[0] == 0 and np.all((sizes > 0) & (sizes <= TILE))
-
-
-class TestInPlacePermutation:
-    """The floor applies the bisection order in place: through index arrays
-    into dist, whose strips are its only scratch, with the embedding only
-    read."""
-
     def test_floor_leaves_the_embedding_as_it_was(self):
         _, points, emb = FLOOR_INPUTS[-1]
-        perm, starts = est._bisection_order(points)
-        rows = emb[perm]
-        rows.setflags(write=False)
-        before = rows.copy()
+        cols = np.ascontiguousarray(emb.T)
+        cols.setflags(write=False)
+        before = cols.copy()
         dist = np.sqrt(squared_distances(points))
-        _chebyshev_floor(dist, rows, perm, starts)
-        assert rows.tobytes() == before.tobytes()
+        _chebyshev_floor(dist, cols)
+        assert cols.tobytes() == before.tobytes()
 
     def test_peak_is_one_matrix_plus_the_embedding(self, monkeypatch):
-        # one worker: each worker holds an m x TILE x TILE difference buffer
+        # one worker, so one row block's difference buffer at a time
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n = 600
         cfg, cloud = _circle(n, 17, q=4, r=12)
         widths = []
         floor = est._chebyshev_floor
 
-        def spy(dist, emb, perm, starts):
-            widths.append(emb.shape[1])
-            return floor(dist, emb, perm, starts)
+        def spy(dist, emb):
+            widths.append(emb.shape[0])
+            return floor(dist, emb)
 
         monkeypatch.setattr(est, "_chebyshev_floor", spy)
         tracemalloc.start()
         try:
-            lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=5))
+            lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         (m,) = widths
-        # the search's columns and the embedding they are copied into, or
-        # the chordal matrix, the embedding and the floor's scratch
-        assert peak < 8 * (n * n + 2 * n * m + m * TILE * TILE)
+        # the chordal matrix, the embedding and one row block's scratch (of
+        # squared_distances, then of the floor), with 256 kB for the rest
+        assert peak < 8 * (n * n + n * m + BLOCK_ENTRIES) + (256 << 10)
+
+
+class TestSolver:
+    @pytest.mark.parametrize("q", [4, 8, 12])
+    def test_gram_matches_candidate_route(self, circle_1000, q):
+        # the two routes round differently: a few ulps of the largest value
+        dec = circle_1000[2]
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=q, r=20))
+        gram = _dirac_gram(cfg).reshape(-1, q, q)
+        vhat_cols = np.random.default_rng(q).uniform(-1, 1, (q, 10))
+        _, d2_cols = _candidate_cols(cfg, vhat_cols)
+        via_gram = np.einsum("kc,ikl,lc->ic", vhat_cols, gram, vhat_cols)
+        gap = np.max(np.abs(via_gram - d2_cols))
+        assert gap <= 1e-15 and gap <= 1e-14 * np.max(np.abs(d2_cols))
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_dual_bound_covers_primal(self, q):
+        cfg, cloud = _circle(200, 22, q=q, r=20)
+        basis_q = cfg.decomposition.leading(q)
+        a, b = _landmark_pairs(basis_q, cloud.points, 32)
+        value, _, bound = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], 100)
+        assert np.all(np.isfinite(bound)) and np.all(value > 0)
+        assert np.all(value <= bound * (1 + 1e-12))
+
+    def test_dual_bound_covers_grid_on_exact_instance(self):
+        # criterion 4's instance: the analytic q = 2 operator on 8 points
+        thetas = lg.equally_spaced_angles(8)
+        vals, modes = lg.analytic_eigenbasis(thetas, 6)
+        dec = lg.eigendecompose(operator_from_modes(vals, modes))
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=6))
+        grid = np.linspace(-1.0, 1.0, 201)
+        gx, gy = np.meshgrid(grid, grid)
+        grid_cols = np.vstack([gx.ravel(), gy.ravel()])
+        basis_q = dec.leading(2)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            a, b = (int(i) for i in rng.choice(8, size=2, replace=False))
+            brute = float(np.max(_objective_cols(cfg, grid_cols, a, b, _Clamps())))
+            c = (basis_q[a] - basis_q[b])[None, :]
+            _, _, bound = _solve_pairs(_dirac_gram(cfg), c, 100)
+            assert bound[0] >= brute * (1 - 1e-12)
+
+    def test_single_point_gives_no_column(self):
+        # n = 1: the landmark is its own partner, c = 0
+        a, b = _landmark_pairs(np.ones((1, 2)), np.zeros((1, 3)), 1)
+        assert a.tolist() == b.tolist() == [0]
+        value, cols, bound = _solve_pairs(np.ones((1, 4)), np.zeros((1, 2)), 10)
+        assert value[0] == DEGENERATE and not np.any(cols) and bound[0] == np.inf
+
+    def test_failed_pairs_spare_the_batch(self):
+        cfg, _ = _circle(80, 23, q=4, r=12)
+        gram = _dirac_gram(cfg)
+        basis_q = cfg.decomposition.leading(4)
+        c = basis_q[[5, 7, 9]] - basis_q[[40, 7, 50]]  # the middle c is 0
+        value, cols, bound = _solve_pairs(gram, c, 20)
+        assert value[1] == DEGENERATE and bound[1] == np.inf and not np.any(cols[:, 1])
+        for k in (0, 2):
+            alone, _, alone_bound = _solve_pairs(gram, c[k : k + 1], 20)
+            assert value[k] == pytest.approx(alone[0], rel=1e-12)
+            assert bound[k] == pytest.approx(alone_bound[0], rel=1e-12)
+        # M singular: every G_i zero, or PSD parts that share a null
+        # direction (the solve clips G_i = diag(1, -1) to diag(1, 0))
+        shared_null = np.array([[1.0, 0.0, 0.0, -1.0], [2.0, 0.0, 0.0, 0.0]])
+        for g in (np.zeros((3, 4)), shared_null):
+            value, cols, bound = _solve_pairs(g, np.eye(2), 5)
+            assert np.all(value == DEGENERATE) and np.all(bound == np.inf)
+            assert not np.any(cols)
+
+    @pytest.mark.parametrize("n", [2, 65])
+    def test_degenerate_clouds_give_floored_matrices(self, n):
+        if n == 2:
+            cloud = lg.PointCloud(np.array([[1.0, 0.0], [0.0, 1.0]]))
+            trunc, h = lg.TruncationParams(q=1, r=1), 0.5
+        else:
+            # five points repeated: coincident landmarks and partners
+            points = lg.sample_uniform_circle(60, seed=0).points
+            cloud = lg.PointCloud(np.vstack([points, points[:5]]))
+            trunc, h = lg.TruncationParams(q=4, r=12), 0.2
+        lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, h))
+        cfg = lg.DiracConfig(lg.eigendecompose(lap), trunc)
+        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig()).matrix
+        chordal = np.sqrt(squared_distances(cloud.points))
+        assert np.all(np.isfinite(d)) and np.array_equal(d, d.T)
+        assert np.all(d >= chordal) and not np.any(np.diag(d))
 
 
 class TestOraclePlugin:
@@ -544,16 +637,18 @@ class TestOraclePlugin:
             with pytest.raises(InputError, match="coefficients must be finite"):
                 lg.oracle_plugin_estimate(circle_cfg, np.array([1.0, bad, 0.5]), 0, 5)
 
-    def test_feasible_below_optimized_sup(self, circle_cfg, monkeypatch):
+    def test_feasible_below_optimized_sup(self, circle_cfg):
+        # a plug-in candidate is feasible once scaled: it cannot beat the
+        # pair's dual bound
         dec = circle_cfg.decomposition
         rng = np.random.default_rng(10)
         target = rng.normal(size=30)
         coeffs = dec.leading(circle_cfg.q).T @ target
         plug = lg.oracle_plugin_estimate(circle_cfg, coeffs, 0, 9)
-        monkeypatch.setattr("lapgeo.estimator.KEEP_TOP", 20)
-        opt = lg.OptimizerConfig(n_samples=4000, n_refine=30, seed=0)
-        est = lg.estimate_distance(circle_cfg, 0, 9, opt)
-        assert plug <= est + 1e-9
+        basis_q = dec.leading(circle_cfg.q)
+        c = (basis_q[0] - basis_q[9])[None, :]
+        _, _, bound = _solve_pairs(_dirac_gram(circle_cfg), c, 100)
+        assert plug <= bound[0] * (1 + 1e-12)
 
 
 def test_clamping_is_logged(caplog):
