@@ -3,7 +3,7 @@
 Verbs:
   loss-experiment --config cfg.json
   estimate --input points.csv --dim D --volume V --bandwidth H
-           (--q Q | --adaptive [--epsilon E]) --r R --seed S --output out.csv
+           (--q Q | --adaptive [--epsilon E]) --r R [--seed S] --output out.csv
   baseline --input points.csv --radius H --output out.csv
 
 Flags (--q against --r, --epsilon only with --adaptive, --seed, --samples,
@@ -57,8 +57,8 @@ def _build_parser() -> _Parser:
     est.add_argument("--r", required=True, type=int, help="quadratic truncation")
     est.add_argument("--epsilon", type=float, default=None, help="--adaptive gap slack, >= 0")
     est.add_argument(
-        "--seed", required=True, type=int,
-        help="accepted (>= 0) but unused: the landmark solver draws nothing",
+        "--seed", type=int, default=OptimizerConfig.seed,
+        help="default 0 (>= 0), unused: the landmark solver draws nothing",
     )
     est.add_argument(
         "--samples", type=int, default=OptimizerConfig.n_samples,

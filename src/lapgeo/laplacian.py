@@ -5,7 +5,8 @@ The operator acts on sample functions f by differences,
 and s = vol / ((4 pi)^(d/2) n h^(2+d)), so it is symmetric, has zero row
 sums, and is negative semidefinite by construction.  (4 pi)^(d/2) is the
 heat-kernel normalisation in intrinsic dimension d; for d = 1 it equals
-2 sqrt(pi) to the last bit.
+2 sqrt(pi) to the last bit.  |x_i - x_j|^2 sums coordinate differences:
+no Gram identity cancels, nothing is clipped, coincident points weigh 1.
 """
 
 from __future__ import annotations
@@ -26,27 +27,23 @@ from .types import (
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, clipped at zero, in one n x n buffer:
-    the Gram matrix is built in it, then each row block turns its upper
-    part into distances, averages its diagonal block with that block's
-    transpose and mirrors the rest below.  Each pair is computed once, so
-    symmetry and the zero diagonal hold by construction.  Temporaries are
-    each of about BLOCK_ENTRIES entries."""
-    sq = np.sum(points * points, axis=1)
-    d2 = points @ points.T
+    sum_k (x_ik - x_jk)^2 in coordinate order, in one n x n buffer: each
+    row block sums its upper part and mirrors the rest below.  As
+    fl(a - b) = -fl(b - a) and x - x = 0, it is symmetric, zero on the
+    diagonal and for coincident points, and non-negative with no repair.
+    The temporary is one block's difference, about BLOCK_ENTRIES entries."""
+    d2 = np.zeros((len(points), len(points)))
     # a block reads only its rows' columns from its first row on; earlier
     # blocks wrote, in these rows, only the columns before it
     for rows in row_blocks(*d2.shape):
         a, b = rows.start, rows.stop
         g = d2[rows, a:]
-        g *= 2.0
-        np.subtract(np.add(sq[rows, None], sq[None, a:]), g, out=g)
-        np.maximum(g, 0.0, out=g)
-        diag = g[:, : b - a]
-        half = np.add(diag, diag.T)
-        half *= 0.5
-        np.fill_diagonal(half, 0.0)
-        diag[...] = half
+        diff = np.empty_like(g)
+        for col in points.T:
+            np.subtract(col[rows, None], col[None, a:], out=diff)
+            diff *= diff
+            g += diff
+        del diff  # freed before the next block allocates its own
         d2[b:, rows] = g[:, b - a :].T
     return d2
 

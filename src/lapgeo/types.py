@@ -73,9 +73,9 @@ class PointCloud:
         peak = float(np.max(np.abs(pts)))
         if not np.isfinite(peak):
             raise InputError("point cloud contains non-finite coordinates")
-        # a squared distance is at most 4 N max|x|^2, and squared_distances
-        # adds two of them in its diagonal blocks; in Python floats, an
-        # overflow is inf, not a numpy warning
+        # squared_distances' largest partial sum is at most 4 N max|x|^2;
+        # 8 N keeps the clouds accepted when the Gram identity summed two.
+        # In Python floats, an overflow is inf, not a numpy warning
         if 8.0 * pts.shape[1] * peak * peak == float("inf"):
             raise InputError(
                 f"point cloud coordinates too large: |x| up to {peak:g} "

@@ -110,15 +110,15 @@ def two_step_distance_matrix_accepts(m) -> bool:
     return not (np.any(np.diag(m) != 0.0) or np.any(m < 0))
 
 
-def two_temporaries_squared_distances(points):
-    """The earlier squared_distances, kept as a reference: the same
-    operations in the same order, each into a fresh n x n array."""
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    d2 = 0.5 * (d2 + d2.T)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+def difference_squared_distances(points):
+    """Squared distances over the whole matrix, summed from coordinate
+    differences in coordinate order from zeros, kept as a reference (the
+    formula of perfbench's chordal_band)."""
+    x = np.asarray(points, dtype=float)
+    acc = np.zeros((x.shape[0], x.shape[0]))
+    for c in range(x.shape[1]):
+        acc += (x[:, c, None] - x[None, :, c]) ** 2
+    return acc
 
 
 def fresh_array_laplacian(cloud, cfg):
@@ -126,26 +126,11 @@ def fresh_array_laplacian(cloud, cfg):
     scale and diagonal each into a fresh n x n array."""
     h, d = cfg.bandwidth, cfg.intrinsic_dim
     s = cfg.volume / ((4.0 * np.pi) ** (d / 2) * cloud.n * h ** (2 + d))
-    w = np.exp(-two_temporaries_squared_distances(cloud.points) / (4.0 * h * h))
+    w = np.exp(-difference_squared_distances(cloud.points) / (4.0 * h * h))
     np.fill_diagonal(w, 0.0)
     m = s * w
     np.fill_diagonal(m, -m.sum(axis=1))
     return m
-
-
-def two_buffer_squared_distances(points):
-    """The earlier squared_distances, kept as a reference: sums, Gram
-    matrix and symmetrisation in two n x n buffers, whole-matrix."""
-    sq = np.sum(points * points, axis=1)
-    d2 = np.add(sq[:, None], sq[None, :])
-    g = points @ points.T
-    g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    out = np.add(d2, d2.T, out=g)
-    out *= 0.5
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def whole_matrix_laplacian_accepts(m) -> bool:

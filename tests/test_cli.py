@@ -86,6 +86,21 @@ class TestEstimateVerb:
         assert b"e-0" in text
         assert text == csv_layout(load_distance_matrix(out).matrix)
 
+    def test_seed_is_optional_and_unused(self, tmp_path):
+        # the solver draws nothing: no --seed, --seed 0 and --seed 7 write
+        # the same bytes
+        pts = tmp_path / "pts.csv"
+        _write_circle(pts, n=40, seed=3)
+        outputs = []
+        for seed_flags in ([], ["--seed", "0"], ["--seed", "7"]):
+            out = tmp_path / f"dist{len(outputs)}.csv"
+            argv = ["estimate", "--input", str(pts), "--dim", "1",
+                    "--volume", format(2 * np.pi, ".17g"), "--bandwidth", "0.25",
+                    "--q", "4", "--r", "8", *seed_flags, "--output", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_adaptive_reports_chosen_q(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         out = tmp_path / "dist.csv"
@@ -278,6 +293,44 @@ class TestBaselineVerb:
         d = load_distance_matrix(out).matrix
         assert np.isinf(d).any()
         assert out.read_bytes() == csv_layout(d)
+
+
+class TestCoincidentPoints:
+    """65 circle points: 60 samples plus exact copies of the first 5.
+    Chordal distances come from coordinate differences, so each copy is
+    exactly 0 from its original."""
+
+    @staticmethod
+    def _write(path):
+        x = lg.sample_uniform_circle(60, seed=0).points
+        x = np.vstack([x, x[:5]])
+        path.write_text("".join(f"{a:.17g},{b:.17g}\n" for a, b in x))
+        return lg.PointCloud(x)
+
+    @staticmethod
+    def _pairs(m):
+        return m[np.arange(5), np.arange(60, 65)]
+
+    def test_gram_distances_and_baseline_are_exactly_zero(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        cloud = self._write(pts)
+        assert np.all(self._pairs(lg.gram_distances(cloud).matrix) == 0.0)
+        argv = ["baseline", "--input", str(pts), "--radius", "0.5", "--output", str(out)]
+        assert main(argv) == 0
+        assert np.all(self._pairs(load_distance_matrix(out).matrix) == 0.0)
+
+    def test_estimate_is_zero_up_to_spectral_rounding(self, tmp_path):
+        # the chordal floor is exactly 0; only the eigenvectors' rounding
+        # separates the copies' embedding rows
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        self._write(pts)
+        argv = ["estimate", "--input", str(pts), "--dim", "1",
+                "--volume", "6.283185307179586", "--bandwidth", "0.2",
+                "--q", "4", "--r", "12", "--output", str(out)]
+        assert main(argv) == 0
+        assert np.max(self._pairs(load_distance_matrix(out).matrix)) <= 1e-15
 
 
 class TestLossExperimentVerb:

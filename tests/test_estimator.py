@@ -21,6 +21,7 @@ from lapgeo.estimator import (
     _dirac_gram,
     _landmark_pairs,
     _objective_cols,
+    _row_distances,
     _solve_pairs,
     dirac_squared,
     grad_sup,
@@ -438,6 +439,21 @@ class TestEstimateAllDistances:
         monkeypatch.delattr(os, "sched_getaffinity")
         results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
         assert all(np.array_equal(results[0], r) for r in results[1:])
+
+
+def test_landmark_rows_are_the_chordal_rows():
+    # one chordal arithmetic: the landmark search's distance rows equal the
+    # rows of the floor's chordal matrix bit for bit
+    rng = np.random.default_rng(2)
+    dup = rng.normal(size=(40, 2))
+    for points in (
+        lg.sample_uniform_circle(300, seed=1).points,
+        rng.normal(size=(80, 3)),
+        np.vstack([dup, dup[::4], dup[:1]]),
+    ):
+        chordal = np.sqrt(squared_distances(points))
+        for i in range(points.shape[0]):
+            assert _row_distances(points, i).tobytes() == chordal[i].tobytes()
 
 
 def _floor_inputs():

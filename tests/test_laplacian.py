@@ -9,11 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import lapgeo as lg
 import lapgeo.types as types
-from conftest import (
-    fresh_array_laplacian,
-    two_buffer_squared_distances,
-    two_temporaries_squared_distances,
-)
+from conftest import difference_squared_distances, fresh_array_laplacian
 from lapgeo.laplacian import gram_distances, squared_distances
 
 
@@ -182,7 +178,7 @@ class TestGramDistances:
 
 class TestInPlaceArithmetic:
     """squared_distances and build_laplacian reuse their n x n buffers;
-    every bit equals the earlier fresh-array formulas."""
+    every bit equals the fresh-array formulas."""
 
     @staticmethod
     def _clouds():
@@ -197,7 +193,7 @@ class TestInPlaceArithmetic:
     def test_squared_distances_bitwise(self):
         for pts in self._clouds():
             assert squared_distances(pts).tobytes() == \
-                two_temporaries_squared_distances(pts).tobytes()
+                difference_squared_distances(pts).tobytes()
 
     @pytest.mark.parametrize("h", [0.05, 0.5, 3.0])
     def test_build_laplacian_bitwise(self, h):
@@ -209,9 +205,9 @@ class TestInPlaceArithmetic:
 
 
 class TestRowBlocks:
-    """squared_distances builds the Gram matrix in its one n x n buffer and
-    turns it into distances over row blocks: every bit equals the
-    two-buffer whole-matrix version, whatever the block size."""
+    """squared_distances sums coordinate differences into its one n x n
+    buffer over row blocks: every bit equals the whole-matrix sum, whatever
+    the block size."""
 
     @staticmethod
     def _clouds():
@@ -232,7 +228,7 @@ class TestRowBlocks:
             if entries is None and name == "n=700":
                 assert len(types.row_blocks(700, 700)) == 3
             got = squared_distances(pts)
-            assert got.tobytes() == two_buffer_squared_distances(pts).tobytes(), name
+            assert got.tobytes() == difference_squared_distances(pts).tobytes(), name
 
     def test_row_blocks_cover_in_order(self):
         for n, width in [(0, 0), (1, 1), (5, 3), (700, 700), (443, 443), (444, 444)]:

@@ -64,8 +64,8 @@ class TestValidatePointCloud:
 
     def test_accepts_up_to_the_bound_without_warning(self):
         # opposite corners at the largest |x| that 8 N max|x|^2 admits in the
-        # plane: each squared distance is 4 N x^2, and the sum that
-        # squared_distances symmetrises is 8 N x^2, so 4 N would let it overflow
+        # plane: each squared distance is 4 N x^2, the largest sum that
+        # squared_distances forms
         x = math.sqrt(sys.float_info.max / 16)
         while 16.0 * x * x == math.inf:
             x = math.nextafter(x, 0.0)
