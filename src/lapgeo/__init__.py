@@ -62,7 +62,6 @@ from .types import (
     PointCloud,
     TruncationParams,
     validate_candidate,
-    validate_point_cloud,
 )
 
 __version__ = "0.1.0"

@@ -327,10 +327,11 @@ def _first_near_max(d: np.ndarray) -> int:
 
 
 def _row_distances(x: np.ndarray, i: int) -> np.ndarray:
-    """Euclidean distance from row i of x to every row, elementwise (no
-    BLAS reduction)."""
-    diff = x - x[i]
-    return np.sqrt((diff * diff).sum(axis=1))
+    """Euclidean distances from row i of x to each row, summed in squared_distances' order."""
+    d2 = np.zeros(x.shape[0])
+    for col in x.T:
+        d2 += np.square(col - col[i])
+    return np.sqrt(d2, out=d2)
 
 
 def _landmark_pairs(
@@ -409,10 +410,10 @@ def estimate_all_distances(
     rows of the embedding whose columns are the solved landmark pairs'
     candidates f, each scaled to unit gradient sup, floored at the chordal
     distance, D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).
-    min(opt.n_samples, n) landmark pairs (_landmark_pairs) are solved in one
-    batch with opt.n_refine updates.  The one n x n array, the chordal
-    matrix floored in place, is built after the solve.
-    """
+    Identical points take the first one's row of f, so they are exactly 0
+    apart.  min(opt.n_samples, n) landmark pairs (_landmark_pairs) are solved
+    in one batch with opt.n_refine updates.  The one n x n array, the chordal
+    matrix floored in place, is built after the solve."""
     dec = cfg.decomposition
     if cloud.n != dec.n:
         raise InputError(
@@ -430,7 +431,8 @@ def estimate_all_distances(
     ok = sups >= GRAD_EPS
     if not ok.any():
         raise EstimationFailedError("no landmark pair gave an admissible candidate")
-    emb = (f_cols[:, ok] / sups[ok]).T.copy()
+    _, first, same = np.unique(cloud.points, axis=0, return_index=True, return_inverse=True)
+    emb = (f_cols[np.ix_(first[same], ok)] / sups[ok]).T.copy()
     del f_cols, d2_cols
     dist = squared_distances(cloud.points)
     np.sqrt(dist, out=dist)

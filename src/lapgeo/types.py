@@ -64,11 +64,13 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen_array(self.points)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise InputError(
-                f"point cloud must be a non-empty 2-d array, got shape {pts.shape}"
-            )
+        try:
+            pts = _frozen_array(self.points)
+        except (ValueError, TypeError, OverflowError) as err:
+            raise InputError(_row_fault(self.points, err)) from None
+        if pts.ndim != 2 or pts.size == 0:
+            hint = f": {_VECTOR_ROWS}" if pts.size else ""  # a 1-d array, say
+            raise InputError(f"point cloud must be a non-empty 2-d array, got shape {pts.shape}{hint}")
         # np.max propagates NaN, so one test covers NaN and inf coordinates
         peak = float(np.max(np.abs(pts)))
         if not np.isfinite(peak):
@@ -92,25 +94,21 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def validate_point_cloud(raw) -> PointCloud:
-    """Build a PointCloud from a raw sequence of coordinate vectors.
+_VECTOR_ROWS = "each point must be a vector of coordinates (rows of length 1 for one coordinate)"
 
-    Names rows that are not coordinate vectors (a bare number, say) and
-    ragged rows, which only the raw rows show; PointCloud rejects empty
-    input, zero width and non-finite values.
-    """
-    rows = list(raw)
-    if any(np.ndim(row) != 1 for row in rows):
-        raise InputError(
-            "each point must be a vector of coordinates; for a single "
-            "coordinate per point, pass rows of length 1"
-        )
-    lengths = {len(row) for row in rows}
-    if len(lengths) > 1:
-        raise InputError(
-            f"dimension mismatch: rows have differing lengths {sorted(lengths)}"
-        )
-    return PointCloud(rows)
+
+def _row_fault(raw, err: Exception) -> str:
+    """Why numpy could not make raw a float array: a row that is no vector
+    (a bare number, say), ragged rows, or cells that err names."""
+    try:
+        shapes = {np.shape(row) for row in raw}
+    except (ValueError, TypeError):  # not iterable, or a ragged row itself
+        shapes = {()}
+    if any(len(shape) != 1 for shape in shapes):
+        return _VECTOR_ROWS
+    if len(shapes) > 1:
+        return f"dimension mismatch: rows have differing lengths {sorted(k for k, in shapes)}"
+    return f"point cloud coordinates must be real numbers: {err}"
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,9 @@ class TestBaselineVerb:
 
 class TestCoincidentPoints:
     """65 circle points: 60 samples plus exact copies of the first 5.
-    Chordal distances come from coordinate differences, so each copy is
-    exactly 0 from its original."""
+    Chordal distances come from coordinate differences, and copies share
+    their original's embedding row, so each copy is exactly 0 from its
+    original."""
 
     @staticmethod
     def _write(path):
@@ -320,9 +321,9 @@ class TestCoincidentPoints:
         assert main(argv) == 0
         assert np.all(self._pairs(load_distance_matrix(out).matrix) == 0.0)
 
-    def test_estimate_is_zero_up_to_spectral_rounding(self, tmp_path):
-        # the chordal floor is exactly 0; only the eigenvectors' rounding
-        # separates the copies' embedding rows
+    def test_estimate_is_exactly_zero(self, tmp_path):
+        # the chordal floor is exactly 0, and the copies' embedding rows are
+        # their originals', not rows that the eigenvectors' rounding separates
         pts = tmp_path / "pts.csv"
         out = tmp_path / "dist.csv"
         self._write(pts)
@@ -330,7 +331,7 @@ class TestCoincidentPoints:
                 "--volume", "6.283185307179586", "--bandwidth", "0.2",
                 "--q", "4", "--r", "12", "--output", str(out)]
         assert main(argv) == 0
-        assert np.max(self._pairs(load_distance_matrix(out).matrix)) <= 1e-15
+        assert np.all(self._pairs(load_distance_matrix(out).matrix) == 0.0)
 
 
 class TestLossExperimentVerb:

@@ -443,13 +443,17 @@ class TestEstimateAllDistances:
 
 def test_landmark_rows_are_the_chordal_rows():
     # one chordal arithmetic: the landmark search's distance rows equal the
-    # rows of the floor's chordal matrix bit for bit
+    # rows of the floor's chordal matrix bit for bit, also from N = 8 on,
+    # where a numpy row sum would regroup its additions
     rng = np.random.default_rng(2)
     dup = rng.normal(size=(40, 2))
     for points in (
         lg.sample_uniform_circle(300, seed=1).points,
         rng.normal(size=(80, 3)),
         np.vstack([dup, dup[::4], dup[:1]]),
+        rng.normal(size=(300, 8)),
+        rng.normal(size=(300, 10)),
+        rng.normal(size=(300, 20)),
     ):
         chordal = np.sqrt(squared_distances(points))
         for i in range(points.shape[0]):

@@ -15,43 +15,64 @@ from lapgeo.laplacian import squared_distances
 
 
 class TestValidatePointCloud:
+    """PointCloud checks a raw cloud itself; every bad one is an InputError."""
+
     def test_accepts_list_of_rows(self):
-        cloud = lg.validate_point_cloud([[0.0, 1.0], [1.0, 0.0]])
+        cloud = lg.PointCloud([[0.0, 1.0], [1.0, 0.0]])
         assert cloud.n == 2
         assert cloud.ambient_dim == 2
         assert cloud.points.dtype == np.float64
 
     def test_accepts_array(self):
         pts = np.arange(12.0).reshape(4, 3)
-        cloud = lg.validate_point_cloud(pts)
+        cloud = lg.PointCloud(pts)
         assert np.array_equal(cloud.points, pts)
 
     def test_single_point(self):
-        cloud = lg.validate_point_cloud([[1.5]])
+        cloud = lg.PointCloud([[1.5]])
         assert cloud.n == 1 and cloud.ambient_dim == 1
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):
-            lg.validate_point_cloud([])
+            lg.PointCloud([])
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_ragged(self):
-        with pytest.raises(InputError):
-            lg.validate_point_cloud([[1.0, 2.0], [3.0]])
+        with pytest.raises(InputError, match=r"differing lengths \[1, 2\]"):
+            lg.PointCloud([[1.0, 2.0], [3.0]])
+        with pytest.raises(InputError, match=r"differing lengths \[2, 3\]"):
+            lg.PointCloud([[1.0, 2.0], [3.0, 4.0, 5.0]])
 
-    @pytest.mark.parametrize("raw", [[1.0, 2.0], np.arange(3.0)])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raw", [[1.0, 2.0], np.arange(3.0), [[1.0, 2.0], 3.0], [[0.0, 1.0], [[2.0], [3.0]]]]
+    )
     def test_rejects_rows_that_are_numbers(self, raw):
         with pytest.raises(InputError, match="vector of coordinates"):
-            lg.validate_point_cloud(raw)
+            lg.PointCloud(raw)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raw, match",
+        [
+            ([["a", "b"]], "real numbers: could not convert string to float: 'a'"),
+            ([[1.0, 0.0], [2.0, 1j]], "real numbers"),
+            ([[10**400, 0]], "real numbers: int too large"),
+        ],
+        ids=["text", "complex", "huge-int"],
+    )
+    def test_rejects_cells_that_are_not_real_numbers(self, raw, match):
+        with pytest.raises(InputError, match=match):
+            lg.PointCloud(raw)
 
     def test_rejects_zero_width(self):
         with pytest.raises(InputError, match="non-empty 2-d"):
-            lg.validate_point_cloud([[], []])
+            lg.PointCloud([[], []])
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(InputError):
-            lg.validate_point_cloud([[np.nan, 0.0]])
-        with pytest.raises(InputError):
-            lg.validate_point_cloud([[np.inf, 0.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="non-finite"):
+                lg.PointCloud([[bad, 0.0]])
 
     @pytest.mark.parametrize("x, width", [(1e160, 2), (1.3e154, 2), (9.5e153, 2), (2.2e153, 30)])
     def test_rejects_overflowing_squared_distances(self, x, width):
@@ -78,7 +99,7 @@ class TestValidatePointCloud:
             lg.PointCloud(pts * 1.000001)
 
     def test_points_are_read_only(self):
-        cloud = lg.validate_point_cloud([[0.0, 1.0], [1.0, 0.0]])
+        cloud = lg.PointCloud([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 9.0
 
