@@ -118,10 +118,17 @@ def _decimal(x):
 def _digits(N, chars, kept):
     """The 17 ASCII digits of each N, one row each, and how many of them
     are significant: up to the last nonzero one."""
-    hi, lo = np.divmod(N, 10**8)
-    d0, r = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
-    g1, g2 = np.divmod(r, np.uint32(10**4))
-    g3, g4 = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
+    # // by a scalar divides by multiplication (numpy's libdivide), which
+    # np.divmod does not; each remainder is a multiply-subtract
+    hi = N // 10**8
+    lo = (N - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    d0 = hi // np.uint32(10**8)
+    r = hi - d0 * np.uint32(10**8)
+    g1 = r // np.uint32(10**4)
+    g2 = r - g1 * np.uint32(10**4)
+    g3 = lo // np.uint32(10**4)
+    g4 = lo - g3 * np.uint32(10**4)
     words = np.empty((N.size, 5), dtype="<u4")
     words[:, 0] = (d0 + ord("0")) << 24  # the leading digit, in byte 3
     for col, g in enumerate((g1, g2, g3, g4), start=1):

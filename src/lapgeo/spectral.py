@@ -12,12 +12,19 @@ is unspecified.
 eigendecompose(operator, r) may hold only the kernel and the first r
 non-kernel modes.  It finds them by Chebyshev-filtered subspace iteration
 (Zhou & Saad 2007): a fixed-seed block of r + kernel + GUARD columns is
-filtered by a Chebyshev polynomial that damps [-rho, c], where rho is the
-Gershgorin radius and c the block's lowest Ritz value, then orthonormalised
-(QR) and rotated onto its Ritz vectors (Rayleigh-Ritz), until every wanted
-column's residual |A x - theta x| is at most RESIDUAL_REL * rho.  Where the
-block is not much smaller than n the dense solver is faster and runs
-instead, holding every mode.
+filtered by a Chebyshev polynomial that damps [-rho, c], where rho bounds
+the spectral radius and c is the block's lowest Ritz value, then
+orthonormalised (QR) and rotated onto its Ritz vectors (Rayleigh-Ritz),
+until every wanted column's residual |A x - theta x| is at most
+RESIDUAL_REL * rho.  For a GraphLaplacian rho is its radius: the Gaussian
+kernel's bound for a build_laplacian output (on circle samples about half
+the Gershgorin bound, and at most 2e-4 above the true radius), the
+Gershgorin bound otherwise; for a raw array it is the largest absolute row
+sum.  The first sweep's filter has degree DEGREE; each later one only the
+degree its growth above c needs to bring the slowest wanted column's
+residual to the tolerance, and at most DEGREE.  Where the block is not much
+smaller than n the dense solver is faster and runs instead, holding every
+mode.
 """
 
 from __future__ import annotations
@@ -41,8 +48,9 @@ SIGN_EPS = 1e-12
 # dense part of the spectrum (r = 40 at n = 1500: 3.5 times).
 GUARD = 8
 CROSSOVER = 25
-# Filter degree per sweep: 16 took the fewest matrix products at n = 1000
-# and 2000 against 12, 24 and 32.
+# Filter degree of the first sweep, and the most any later sweep takes: 16
+# took the fewest matrix products at n = 1000 and 2000 against 12, 24 and
+# 32.
 DEGREE = 16
 # A block of k columns that has not converged after n // (SWEEP_COST * k)
 # sweeps goes to eigh.  On the 2-core host eigh took as long as 4.2 to 6.8
@@ -52,10 +60,16 @@ DEGREE = 16
 # 48-column block holding a 25-dimensional kernel needs 8 sweeps at
 # n / k = 26.  (The fixed cap of 30 spent 6 eighs on r = 30 at n = 1000.)
 SWEEP_COST = 3
-RESIDUAL_REL = 1e-12
+# Residual tolerance relative to rho.  With the last sweep sized to it,
+# 1e-13 cost 0 to 4 more products than 1e-12 on ten 1000-point circles at
+# r = 12, and kept lapgeo estimate within 4e-13 of its output under
+# full-degree sweeps over the Gershgorin interval; at 1e-12 one of 12 such
+# inputs moved by 3.0e-12.
+RESIDUAL_REL = 1e-13
 # A block whose Ritz values all lie within STALL_REL * rho of zero sits in
-# the kernel (or a cluster at zero) and cannot converge: the filter's gain
-# at zero over [-rho, c] is then at most T_16(1 + 2e-3)^30, about 6e5.
+# the kernel (or a cluster at zero) and cannot converge: a sweep's filter
+# of degree d <= DEGREE then gains at most T_d(1 + 2e-3) at zero over
+# [-rho, c], 1.56 at d = 16.
 STALL_REL = 1e-3
 
 
@@ -146,8 +160,7 @@ def eigendecompose(operator, r: int | None = None) -> SpectralDecomposition:
         if r < 1:
             raise InputError(f"need r >= 1, got r={r}")
         if isinstance(operator, GraphLaplacian):
-            # Gershgorin: a Laplacian row holds |d_i| off its diagonal too
-            rho = 2.0 * np.max(np.abs(np.diagonal(a)), initial=0.0)
+            rho = operator.radius
         else:
             rho = np.max(np.abs(a).sum(axis=1), initial=0.0)
         dec = _partial(a, r, float(rho))
@@ -222,15 +235,37 @@ def _filtered_block(a: np.ndarray, x: np.ndarray, want: int, rho: float):
     False once the block stalls at zero (every Ritz value within
     STALL_REL * rho of it); None after n // (SWEEP_COST * k) sweeps of
     the k columns, which cost about one eigh."""
+    tol = RESIDUAL_REL * rho
     theta, x, _ = _rayleigh_ritz(a, x)
+    degree = DEGREE
     for _ in range(a.shape[0] // (SWEEP_COST * x.shape[1])):
-        theta, x, ax = _rayleigh_ritz(a, _chebyshev_filter(a, x, rho, theta[0]))
+        theta, x, ax = _rayleigh_ritz(a, _chebyshev_filter(a, x, rho, theta[0], degree))
         if theta[0] >= -STALL_REL * rho:
             return theta, x, False
         ax -= x * theta
-        if np.all(np.linalg.norm(ax[:, -want:], axis=0) <= RESIDUAL_REL * rho):
+        res = np.linalg.norm(ax[:, -want:], axis=0)
+        if np.all(res <= tol):
             return theta, x, True
+        degree = _next_degree(theta, res / tol, rho)
     return None
+
+
+def _next_degree(theta: np.ndarray, excess: np.ndarray, rho: float) -> int:
+    """Degree of the next filter of [-rho, theta[0]]: enough for the
+    slowest of the top columns, whose residuals are excess times the
+    tolerance, and at most DEGREE.
+
+    The filter of degree d multiplies a column at Ritz value theta against
+    the spectrum it damps by about T_d(x) = cosh(d acosh x), with
+    x = (theta - center) / half > 1, so a residual excess times too large
+    needs d >= acosh(excess) / acosh(x); one more degree covers the error of
+    that estimate."""
+    c = theta[0]
+    x = (theta[-excess.size:] - 0.5 * (c - rho)) / (0.5 * (c + rho))
+    if np.min(x) <= 1.0:  # a wanted value at c: the filter cannot lift it
+        return DEGREE
+    need = np.arccosh(np.maximum(excess, 1.0)) / np.arccosh(x)
+    return int(min(DEGREE, np.ceil(np.max(need)) + 1))
 
 
 def _rayleigh_ritz(a: np.ndarray, x: np.ndarray):
@@ -242,8 +277,10 @@ def _rayleigh_ritz(a: np.ndarray, x: np.ndarray):
     return theta, q @ s, aq @ s
 
 
-def _chebyshev_filter(a: np.ndarray, x: np.ndarray, rho: float, c: float) -> np.ndarray:
-    """p(a) x for the degree-DEGREE Chebyshev polynomial of [-rho, c],
+def _chebyshev_filter(
+    a: np.ndarray, x: np.ndarray, rho: float, c: float, degree: int
+) -> np.ndarray:
+    """p(a) x for the Chebyshev polynomial of the given degree on [-rho, c],
     scaled to p(0) = 1: bounded by 1 in magnitude on [-rho, c] and
     growing fast above c, where the kernel and the leading modes lie
     (the scaled three-term recurrence of Zhou & Saad 2007)."""
@@ -252,7 +289,7 @@ def _chebyshev_filter(a: np.ndarray, x: np.ndarray, rho: float, c: float) -> np.
     sigma = half / -center
     tau = 2.0 / sigma
     y = (a @ x - center * x) * (sigma / half)
-    for _ in range(DEGREE - 1):
+    for _ in range(degree - 1):
         sigma_next = 1.0 / (tau - sigma)
         y_next = (a @ y - center * y) * (2.0 * sigma_next / half) - (sigma * sigma_next) * x
         x, y, sigma = y, y_next, sigma_next

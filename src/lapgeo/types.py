@@ -137,12 +137,18 @@ class GraphLaplacian:
     with zero row sums means non-negative weights up to rounding and proves
     the matrix negative semidefinite.  An NSD operator with negative weights
     is no GraphLaplacian; eigendecompose takes it as a raw array.
+
+    radius bounds the spectral radius from above.  The constructor sets the
+    Gershgorin bound 2 max|m_ii| (a row holds |m_ii| off its diagonal too),
+    which holds for any non-negative weights; build_laplacian sets the
+    tighter bound its Gaussian kernel gives.
     """
 
     def __init__(self, matrix):
         m = _frozen_array(matrix)
         self._check(m)
         self.matrix = m
+        self.radius = 2.0 * float(np.max(np.abs(np.diagonal(m)), initial=0.0))
 
     @staticmethod
     def _check(m: np.ndarray) -> None:

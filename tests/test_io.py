@@ -13,6 +13,8 @@ from lapgeo.errors import InputError
 from lapgeo.laplacian import squared_distances
 from lapgeo.io import (
     _BLOCK,
+    _digit_tables,
+    _digits,
     check_output_dir,
     load_distance_matrix,
     save_distance_matrix,
@@ -174,6 +176,33 @@ def test_distance_matrix_layout_any_size(tmp_path, n):
     expected = csv_layout(m)
     assert (n > 0) == bool(expected)
     assert _saved_bytes(tmp_path / "d.csv", d) == expected
+
+
+def _divmod_digits(N, chars, kept):
+    """The earlier np.divmod arithmetic of _digits, kept as a reference."""
+    hi, lo = np.divmod(N, 10**8)
+    d0, r = np.divmod(hi.astype(np.uint32), np.uint32(10**8))
+    g1, g2 = np.divmod(r, np.uint32(10**4))
+    g3, g4 = np.divmod(lo.astype(np.uint32), np.uint32(10**4))
+    words = np.empty((N.size, 5), dtype="<u4")
+    words[:, 0] = (d0 + ord("0")) << 24
+    for col, g in enumerate((g1, g2, g3, g4), start=1):
+        words[:, col] = chars[g]
+    sig = np.maximum(np.maximum(1 + kept[g1], 5 + kept[g2]),
+                     np.maximum(9 + kept[g3], 13 + kept[g4]))
+    return words.view(np.uint8)[:, 3:], np.maximum(sig, 1)
+
+
+def test_digits_match_the_divmod_arithmetic():
+    chars, kept = _digit_tables()
+    rng = np.random.default_rng(0)
+    N = np.concatenate([rng.integers(10**16, 10**17, size=200_000),
+                        [10**16, 10**17 - 1]]).astype(np.int64)
+    rows, sig = _digits(N, chars, kept)
+    ref_rows, ref_sig = _divmod_digits(N, chars, kept)
+    assert np.array_equal(rows, ref_rows) and np.array_equal(sig, ref_sig)
+    assert rows[-2].tobytes() == b"10000000000000000" and sig[-2] == 1
+    assert rows[-1].tobytes() == b"9" * 17 and sig[-1] == 17
 
 
 def test_distance_matrix_bytes_independent_of_worker_count(tmp_path, monkeypatch):

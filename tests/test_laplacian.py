@@ -272,3 +272,48 @@ class TestPeakMemory:
     def test_gram_distances(self):
         cloud = lg.sample_uniform_circle(self.N, seed=1)
         assert _traced_peak(gram_distances, cloud) < self._bound()
+
+
+# clouds in R^1 to R^3 with exact copies of some of their points: a copy
+# pair e_i - e_j is a kernel null vector, where the bound can be attained
+clouds_with_copies = clouds.flatmap(
+    lambda pts: st.lists(st.integers(0, len(pts) - 1), max_size=4).map(
+        lambda rows: np.vstack([pts, pts[rows]])
+    )
+)
+
+
+@given(clouds_with_copies, st.floats(-2.0, 2.0))
+def test_radius_bounds_the_spectrum(pts, log_h):
+    cfg = _cfg(h=10.0 ** log_h, d=pts.shape[1])
+    lap = lg.build_laplacian(lg.PointCloud(pts), cfg)
+    lowest = np.linalg.eigvalsh(lap.matrix)[0]
+    assert lap.radius >= -lowest * (1.0 - 1e-12)
+    assert lap.radius <= 2.0 * np.max(np.abs(np.diagonal(lap.matrix)))
+
+
+def test_kernel_bound_holds_only_for_the_builder():
+    # K_3,3 with unit weights: its adjacency plus I is not positive
+    # semidefinite, and the spectrum 0, -3 (four times), -6 reaches below
+    # max|L_ii| + max w = 4.  The public constructor keeps the Gershgorin
+    # bound 2 max|L_ii| = 6, which holds for any non-negative weights
+    adj = np.zeros((6, 6))
+    adj[:3, 3:] = adj[3:, :3] = 1.0
+    lap = lg.GraphLaplacian(adj - np.diag(adj.sum(axis=1)))
+    assert lap.radius == 6.0
+    lowest = np.linalg.eigvalsh(lap.matrix)[0]
+    assert np.isclose(lowest, -6.0, rtol=1e-14)
+    assert -lowest > np.max(np.abs(np.diagonal(lap.matrix))) + 1.0
+
+
+def test_builder_radius_is_the_kernel_bound():
+    # on 1000 circle samples: within a few parts in 1e7 above the true
+    # radius, about half the Gershgorin bound
+    n = 1000
+    cloud = lg.sample_uniform_circle(n, seed=0)
+    lap = lg.build_laplacian(cloud, _cfg(h=0.5 * n ** -0.25))
+    peak = np.max(np.abs(np.diagonal(lap.matrix)))
+    true = -np.linalg.eigvalsh(lap.matrix)[0]
+    assert true <= lap.radius <= true * (1.0 + 1e-6)
+    assert lap.radius < 0.55 * 2.0 * peak
+    assert lg.GraphLaplacian(lap.matrix).radius == 2.0 * peak

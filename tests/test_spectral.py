@@ -183,13 +183,78 @@ class TestPartialEigendecompose:
         return calls
 
     def test_estimate_path_runs_its_sweeps_under_the_cap(self, monkeypatch):
-        # lapgeo estimate on 1000 circle points at r = 12 converges in 3
-        # sweeps of 21 columns, as it did under the earlier fixed cap of 30
+        # lapgeo estimate on 1000 circle points at r = 12 converges in 2
+        # sweeps of 21 columns (3 when the filter damped the Gershgorin
+        # interval), well under the cap
         calls = self._count_filters(monkeypatch)
         dec = lg.eigendecompose(circle_laplacian(1000), 12)
         assert dec.partial and dec.held == 12
-        assert calls == [21] * 3
+        assert calls == [21] * 2
         assert 1000 // (spectral.SWEEP_COST * 21) >= 3
+
+    def test_estimate_path_block_products(self, monkeypatch):
+        # filter products of eigendecompose(lap, 12) on ten 1000-point
+        # circles: 48 each with full-degree sweeps over the Gershgorin
+        # interval; each sweep after the first now takes only the degree
+        # its slowest wanted column needs
+        degrees = []
+        filt = spectral._chebyshev_filter
+
+        def counted(a, x, rho, c, degree):
+            degrees[-1].append(degree)
+            return filt(a, x, rho, c, degree)
+
+        monkeypatch.setattr(spectral, "_chebyshev_filter", counted)
+        for seed in range(10):
+            degrees.append([])
+            assert lg.eigendecompose(circle_laplacian(1000, seed=seed), 12).partial
+        assert all(d[0] == spectral.DEGREE and max(d) <= spectral.DEGREE for d in degrees)
+        assert max(sum(d) for d in degrees) <= 40
+        assert any(min(d) < spectral.DEGREE for d in degrees)
+
+    def test_reads_the_laplacian_radius(self, monkeypatch):
+        # the builder's kernel bound for its own output, the Gershgorin bound
+        # for a copy through the constructor, the largest absolute row sum
+        # for a raw array
+        seen = []
+        part = spectral._partial
+        monkeypatch.setattr(spectral, "_partial", lambda a, r, rho: seen.append(rho) or part(a, r, rho))
+        lap = circle_laplacian(600)
+        copy = lg.GraphLaplacian(lap.matrix)
+        for op in (lap, copy, lap.matrix):
+            assert lg.eigendecompose(op, 4).partial
+        gershgorin = 2.0 * np.max(np.abs(np.diagonal(lap.matrix)))
+        assert seen == [lap.radius, gershgorin, np.max(np.abs(lap.matrix).sum(axis=1))]
+        assert lap.radius < 0.55 * gershgorin
+        assert lap.radius >= -np.linalg.eigvalsh(lap.matrix)[0]
+
+    def test_two_clusters_partial_and_dense_agree_on_the_kernel(self):
+        # the kernel threshold ZERO_REL * rho follows the tighter bound; the
+        # block restarts once for the second kernel column
+        rng = np.random.default_rng(4)
+        pts = 0.3 * rng.normal(size=(400, 2))
+        pts[200:, 0] += 100.0
+        op = lg.build_laplacian(lg.PointCloud(pts), lg.ManifoldConfig(2, 1.0, 0.5))
+        part, dense = lg.eigendecompose(op, 4), lg.eigendecompose(op)
+        assert part.partial
+        assert part.kernel_dim == dense.kernel_dim == 2
+        assert np.max(np.abs(part.eigenvalues - dense.eigenvalues[:6])) <= 1e-12 * op.radius
+        kernel = part.kernel()
+        dense_kernel = dense.kernel()
+        assert np.max(np.abs(kernel @ kernel.T - dense_kernel @ dense_kernel.T)) <= 1e-10
+
+    def test_no_warning_from_degree_sizing(self):
+        # converged columns (excess below 1) and a wanted value at c (x = 1)
+        # must not reach arccosh or a division by zero
+        theta = np.array([-10.0, -5.0, -2.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 2 <= spectral._next_degree(theta, np.array([0.5, 1e3]), 20.0) < spectral.DEGREE
+            assert spectral._next_degree(theta, np.array([0.0, 1e-3]), 20.0) == 1
+            at_c = np.array([-10.0, -10.0, -1.0])
+            assert spectral._next_degree(at_c, np.array([1e3, 1e3]), 20.0) == spectral.DEGREE
+            for seed in range(3):
+                lg.eigendecompose(circle_laplacian(1000, seed=seed), 12)
 
     def test_unconverged_block_stops_at_the_cap(self, monkeypatch):
         # r = 30 at n = 1000: 39 columns reach into the dense part of the
