@@ -6,6 +6,24 @@ surrogate for the gradient sup-norm; analytic circle oracles and a
 shortest-path baseline make every claim testable.
 """
 
+import os as _os
+
+# Before anything imports numpy, whose OpenBLAS reads this once, at load
+# (as does scipy's own OpenBLAS, which the baseline loads later).  After
+# each threaded call OpenBLAS's idle workers busy-wait 2^timeout TSC cycles
+# before they sleep: 2^28, about 0.13 s at 2.1 GHz, by default.  The
+# Chebyshev floor and the CSV writer run their worker_count() pools right
+# after the eigensolver's products, and on two cores they shared the CPUs
+# with that spin.  2^22 cycles (about 2 ms) still spans the gaps between
+# the filter's back-to-back products.  Measured on a 2-core host, 1000
+# circle points, fresh processes: the CSV write 99 -> 68 ms, the floor
+# 23 -> 22 ms, the whole estimate 249 -> 218 ms, eigendecompose 32 ms
+# either way.  20 to 26 did as well; below 20, eigendecompose's first call
+# grew by up to 1 ms and the loss sweep by about 3 ms (BENCH_blas_idle.json).
+# The BLAS thread count is untouched, so no output changes.  A value the
+# user set wins; once numpy is loaded, this has no effect.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+
 import logging as _logging
 
 from .baseline import (

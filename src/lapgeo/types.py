@@ -6,7 +6,9 @@ types are safe to share between threads.  The public constructors copy
 what they are given; lapgeo's own builders hand over a fresh array through
 _adopt, which freezes it in place.  The n x n checks run over row blocks
 of about BLOCK_ENTRIES entries, so a check holds no n x n temporary;
-worker_count() sizes the thread pools of the n x n loops.
+worker_count() sizes lapgeo's own thread pools, those of the n x n loops.
+BLAS sizes its threads itself; lapgeo only lets them sleep soon after the
+last threaded call (see the package's __init__).
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ def row_blocks(n: int, width: int):
 def worker_count() -> int:
     """Threads for the n^2 loops (numpy releases the GIL in their ufuncs):
     one per usable CPU, or per CPU where affinity is unknown (macOS,
-    Windows)."""
+    Windows).  The Chebyshev floor and the CSV writer run these pools right
+    after the eigensolver's threaded BLAS products; they get every CPU only
+    once BLAS's idle threads sleep, which lapgeo's OPENBLAS_THREAD_TIMEOUT
+    default makes happen within milliseconds."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 

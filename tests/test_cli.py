@@ -487,12 +487,23 @@ def test_console_script_installed():
     assert "estimate" in proc.stdout and "baseline" in proc.stdout
 
 
-def test_import_does_not_load_scipy(tmp_path):
-    # only the baseline verb needs scipy; it imports it on first use.  A
-    # whole estimate run, partial eigensolver included, stays on numpy.
+def _child_env(**overrides):
+    """This environment with lapgeo's source first on PYTHONPATH, and each
+    override set (or removed where its value is None)."""
     src = str(Path(lg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for key, value in overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    return env
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # only the baseline verb needs scipy; it imports it on first use.  A
+    # whole estimate run, partial eigensolver included, stays on numpy.
+    env = _child_env()
     pts = tmp_path / "pts.csv"
     _write_circle(pts, n=600, seed=2)
     argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.283185307179586",
@@ -505,3 +516,58 @@ def test_import_does_not_load_scipy(tmp_path):
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+# Records OPENBLAS_THREAD_TIMEOUT when `import lapgeo` first asks for numpy,
+# which is when numpy loads OpenBLAS and OpenBLAS reads its environment.
+_SPY_ON_NUMPY = """
+import json, os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import lapgeo
+print(json.dumps([seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+def _spy_numpy_import(timeout):
+    """([the value when numpy was first asked for], the value after import),
+    in a fresh interpreter started with the given value (None: unset)."""
+    proc = subprocess.run([sys.executable, "-c", _SPY_ON_NUMPY], capture_output=True,
+                          text=True, env=_child_env(OPENBLAS_THREAD_TIMEOUT=timeout))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_blas_idle_timeout_set_before_numpy_loads():
+    seen, final = _spy_numpy_import(None)
+    assert final is not None and final.isdigit()
+    assert seen == [final]
+
+
+def test_preset_blas_idle_timeout_wins():
+    assert _spy_numpy_import("28") == [["28"], "28"]
+
+
+def test_blas_idle_timeout_moves_no_output(tmp_path):
+    pts = tmp_path / "pts.csv"
+    _write_circle(pts, n=600, seed=2)
+    verbs = {
+        "estimate": ["--dim", "1", "--volume", "6.283185307179586", "--bandwidth", "0.1",
+                     "--q", "4", "--r", "12"],
+        "baseline": ["--radius", "0.3"],
+    }
+    for verb, flags in verbs.items():
+        outputs = []
+        for timeout in ("28", None):
+            out = tmp_path / f"{verb}_{timeout}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "lapgeo.cli", verb, "--input", str(pts), *flags,
+                 "--output", str(out)],
+                capture_output=True, text=True, env=_child_env(OPENBLAS_THREAD_TIMEOUT=timeout))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
