@@ -53,10 +53,12 @@ from .errors import (
 from .estimator import (
     DEGENERATE,
     DiracConfig,
+    DistanceRows,
     OptimizerConfig,
     dirac_squared,
     estimate_all_distances,
     estimate_distance,
+    estimate_distance_rows,
     grad_sup,
     objective,
     oracle_plugin_estimate,

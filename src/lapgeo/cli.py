@@ -23,7 +23,7 @@ import sys
 
 from .baseline import build_neighbor_graph, check_radius, shortest_path_distances
 from .errors import InputError, NumericalError
-from .estimator import DiracConfig, OptimizerConfig, estimate_all_distances
+from .estimator import DiracConfig, OptimizerConfig, estimate_distance_rows
 from .harness import ExperimentConfig, run_loss_experiment
 from .io import check_output_dir, load_point_cloud, save_distance_matrix
 from .laplacian import build_laplacian
@@ -106,8 +106,9 @@ def _cmd_estimate(args) -> int:
         trunc = TruncationParams(select_q(dec, args.r, args.epsilon or 0.0), args.r)
     dirac = DiracConfig(dec, trunc)
     print(f"q={trunc.q} r={trunc.r} rank={dec.rank}", file=sys.stderr)
-    dist = estimate_all_distances(dirac, cloud, opt)
-    save_distance_matrix(args.output, dist)
+    # the writer computes each chunk of rows as it formats it, so no n x n
+    # distance matrix is held
+    save_distance_matrix(args.output, estimate_distance_rows(dirac, cloud, opt))
     return 0
 
 

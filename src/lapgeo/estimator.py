@@ -27,7 +27,9 @@ farthest-point sampling in the rows of E_q, each paired with the point
 chordally farthest from it.  Every solved pair gives
 one column of an embedding F, its candidate scaled to unit gradient sup,
 and the estimate is the Chebyshev distance between rows of F floored at the
-chordal distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).
+chordal distance: D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|).  The points
+and F encode the whole matrix: DistanceRows gives any rows of it, which the
+CSV writer streams without the n x n array.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailedError, InputError
-from .laplacian import squared_distances
+from .laplacian import squared_distance_rows
 from .spectral import SpectralDecomposition
 from .types import (
     DistanceMatrix,
@@ -327,10 +329,8 @@ def _first_near_max(d: np.ndarray) -> int:
 
 
 def _row_distances(x: np.ndarray, i: int) -> np.ndarray:
-    """Euclidean distances from row i of x to each row, summed in squared_distances' order."""
-    d2 = np.zeros(x.shape[0])
-    for col in x.T:
-        d2 += np.square(col - col[i])
+    """Euclidean distances from row i of x to each row, by squared_distance_rows."""
+    d2 = squared_distance_rows(x, slice(i, i + 1), 0, np.zeros((1, x.shape[0])))[0]
     return np.sqrt(d2, out=d2)
 
 
@@ -375,45 +375,71 @@ def estimate_distance(
         clamps.report()
 
 
-def _chebyshev_floor(dist: np.ndarray, emb: np.ndarray) -> None:
-    """dist = max(dist, Chebyshev distance between the points' embedding
-    rows), in place, for a symmetric dist; emb holds one embedding column
-    per row, (m, n), and is only read.
+@dataclass(frozen=True)
+class DistanceRows:
+    """The all-pairs estimate as its encoding: the cloud's points, (n, N),
+    and the embedding F, one column per row, (m, n).  rows() gives any rows
+    of D_ab = max(|x_a - x_b|, max_j |F_aj - F_bj|), so no n x n array is
+    needed to write D; save_distance_matrix takes it as it takes a
+    DistanceMatrix."""
 
-    Each row block of types.row_blocks floors its rows against the columns
-    from its first row on, one np.maximum per embedding column, and copies
-    the part right of its diagonal block, transposed, below the diagonal.
-    The blocks are spread over worker_count() threads; no two write the
-    same entry, and fl(x - y) = -fl(y - x), so the result does not depend
-    on the worker count."""
-    n = dist.shape[0]
+    points: np.ndarray
+    embedding: np.ndarray
 
-    def floor_rows(rows: slice):
-        start, stop = rows.start, rows.stop
-        block = dist[rows, start:]
-        diff = np.empty(block.shape)
-        for col in emb:
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    def rows(self, a: int, b: int, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows a..b, columns start..n of D, (b - a, n - start): in out,
+        which must hold zeros, or in a fresh array.  The chordal part is
+        squared_distance_rows; the floor takes one np.maximum per embedding
+        column.  The maximum is exact and fl(x - y) = -fl(y - x), so every
+        entry has the same bits in whichever rows and columns it is
+        computed, and D is exactly symmetric."""
+        rows = slice(a, b)
+        if out is None:
+            out = np.zeros((b - a, self.n - start))
+        np.sqrt(squared_distance_rows(self.points, rows, start, out), out=out)
+        diff = np.empty_like(out)
+        for col in self.embedding:
             np.subtract(col[rows, None], col[None, start:], out=diff)
             np.abs(diff, out=diff)
-            np.maximum(block, diff, out=block)
-        dist[stop:, rows] = block[:, stop - start:].T
+            np.maximum(out, diff, out=out)
+        return out
+
+
+def _matrix(source: DistanceRows) -> np.ndarray:
+    """The n x n matrix of a DistanceRows.  Each row block of
+    types.row_blocks computes its columns from its first row on and copies
+    the part right of its diagonal block, transposed, below the diagonal.
+    The blocks are spread over worker_count() threads; no two write the
+    same entry, so the result does not depend on the worker count."""
+    n = source.n
+    dist = np.zeros((n, n))
+
+    def fill(rows: slice):
+        a, b = rows.start, rows.stop
+        block = source.rows(a, b, a, out=dist[rows, a:])
+        dist[b:, rows] = block[:, b - a :].T
 
     with ThreadPoolExecutor(worker_count()) as pool:
         # list() re-raises a worker's exception here
-        list(pool.map(floor_rows, row_blocks(n, n)))
+        list(pool.map(fill, row_blocks(n, n)))
+    return dist
 
 
-def estimate_all_distances(
+def estimate_distance_rows(
     cfg: DiracConfig, cloud: PointCloud, opt: OptimizerConfig
-) -> DistanceMatrix:
-    """Simultaneous estimate for every pair: the Chebyshev distance between
-    rows of the embedding whose columns are the solved landmark pairs'
-    candidates f, each scaled to unit gradient sup, floored at the chordal
-    distance, D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| / sup_grad(f)).
-    Identical points take the first one's row of f, so they are exactly 0
-    apart.  min(opt.n_samples, n) landmark pairs (_landmark_pairs) are solved
-    in one batch with opt.n_refine updates.  The one n x n array, the chordal
-    matrix floored in place, is built after the solve."""
+) -> DistanceRows:
+    """Simultaneous estimate for every pair, as DistanceRows: the Chebyshev
+    distance between rows of the embedding whose columns are the solved
+    landmark pairs' candidates f, each scaled to unit gradient sup, floored
+    at the chordal distance, D_ab = max(|x_a - x_b|, max_f |f(a) - f(b)| /
+    sup_grad(f)).  Identical points take the first one's row of f, so they
+    are exactly 0 apart.  min(opt.n_samples, n) landmark pairs
+    (_landmark_pairs) are solved in one batch with opt.n_refine updates.
+    Nothing n x n is built."""
     dec = cfg.decomposition
     if cloud.n != dec.n:
         raise InputError(
@@ -433,11 +459,17 @@ def estimate_all_distances(
         raise EstimationFailedError("no landmark pair gave an admissible candidate")
     _, first, same = np.unique(cloud.points, axis=0, return_index=True, return_inverse=True)
     emb = (f_cols[np.ix_(first[same], ok)] / sups[ok]).T.copy()
-    del f_cols, d2_cols
-    dist = squared_distances(cloud.points)
-    np.sqrt(dist, out=dist)
-    _chebyshev_floor(dist, emb)
-    return _adopt(DistanceMatrix, dist)
+    emb.setflags(write=False)
+    return DistanceRows(cloud.points, emb)
+
+
+def estimate_all_distances(
+    cfg: DiracConfig, cloud: PointCloud, opt: OptimizerConfig
+) -> DistanceMatrix:
+    """estimate_distance_rows as a DistanceMatrix: its one n x n array,
+    built after the solve by DistanceRows.rows over each row block's upper
+    part, then mirrored."""
+    return _adopt(DistanceMatrix, _matrix(estimate_distance_rows(cfg, cloud, opt)))
 
 
 def oracle_plugin_estimate(cfg: DiracConfig, coeffs, a: int, b: int) -> float:

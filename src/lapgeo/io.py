@@ -8,7 +8,11 @@ its file line).  A leading UTF-8 byte-order mark is skipped.
 Distance matrices: one row per point, each entry as `format(x, ".17g")`
 (17 significant digits, so values round-trip losslessly; infinities are
 "inf"), entries joined by "," and rows ended by "\r\n". The writer builds
-these bytes with numpy, exactly, in blocks of a fixed number of entries.
+these bytes with numpy, exactly, in chunks of whole rows of about a fixed
+number of entries.  It takes any row source, an object with n and
+rows(a, b): a DistanceMatrix, whose rows are slices of its matrix, or the
+estimator's DistanceRows, which computes each chunk as it is formatted, so
+that the estimate is written without its n x n matrix.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _split(a):
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
-_BLOCK = 1 << 14  # entries formatted per write; bounds the scratch memory
+_BLOCK = 1 << 14  # entries per chunk of rows (at least one row); bounds the scratch memory
 _FIELD = 26  # the longest %.17g text, "-2.2250738585072014e-308", plus "\r\n"
 
 
@@ -168,9 +172,11 @@ def _layout(X, D, sig):
     return text, length
 
 
-def _format_block(v, start, n, chars, kept):
-    """The CSV bytes of the entries v, which begin at flat index start of
-    a matrix with n columns."""
+def _format_block(source, a, b, chars, kept):
+    """The CSV bytes of rows a..b of a row source."""
+    v = source.rows(a, b)
+    n = v.shape[1]
+    v = v.reshape(-1)
     size = v.size
     fast = (v > 1e-6) & (v < 1e17)
     X, N = _decimal(np.where(fast, v, 1.0))
@@ -199,7 +205,7 @@ def _format_block(v, start, n, chars, kept):
             L[i] = len(s)
 
     text[np.arange(size), L] = ord(",")
-    row_ends = np.arange((n - 1 - start) % n, size, n)
+    row_ends = np.arange(n - 1, size, n)
     text[row_ends, L[row_ends]] = ord("\r")
     text[row_ends, L[row_ends] + 1] = ord("\n")
     L += 1
@@ -207,31 +213,34 @@ def _format_block(v, start, n, chars, kept):
     return text[np.arange(_FIELD, dtype=np.uint8) < L[:, None]]
 
 
-def save_distance_matrix(path, dist: DistanceMatrix) -> None:
+def save_distance_matrix(path, dist) -> None:
     r"""Write a distance matrix as CSV.
 
-    The file holds exactly the bytes of
+    dist is a row source: a DistanceMatrix, or any object with n and
+    rows(a, b) giving rows a..b of an n x n matrix as a (b - a, n) float
+    array, such as estimate_distance_rows' DistanceRows.  The file holds
+    exactly the bytes of
     `"".join(",".join(format(x, ".17g") for x in row) + "\r\n" for row in m)`:
     17 significant digits, C's %g layout, "inf" for disconnected pairs, so
     `load_distance_matrix` reads back the same doubles.  Entries in
     (1e-6, 1e17), and zeros and infinities, are formatted by numpy in
-    blocks of a fixed number of entries; any other entry goes through
-    `format` one at a time.  The blocks are formatted on worker_count()
-    threads, at most one more block than threads at a time, and written in
-    order; a block's bytes do not depend on the thread that formats it.  A
-    0 x 0 matrix gives an empty file.  A file that cannot be opened or
-    written is an InputError naming the path.
+    chunks of max(1, _BLOCK // n) rows; any other entry goes through
+    `format` one at a time.  Each chunk is taken from the source and
+    formatted on one of worker_count() threads, at most one more chunk than
+    threads at a time, and chunks are written in order; a chunk's bytes do
+    not depend on the thread that formats it.  A 0 x 0 matrix gives an
+    empty file.  A file that cannot be opened or written is an InputError
+    naming the path.
     """
-    m = dist.matrix
-    flat = m.reshape(-1)
+    n = dist.n
+    step = max(1, _BLOCK // max(n, 1))
     chars, kept = _digit_tables()
     workers = worker_count()
     try:
         with open(path, "wb") as fh, ThreadPoolExecutor(workers) as pool:
             pending = deque()
-            for start in range(0, flat.size, _BLOCK):
-                pending.append(pool.submit(
-                    _format_block, flat[start:start + _BLOCK], start, m.shape[1], chars, kept))
+            for a in range(0, n, step):
+                pending.append(pool.submit(_format_block, dist, a, min(a + step, n), chars, kept))
                 if len(pending) > workers:
                     fh.write(pending.popleft().result())
             while pending:

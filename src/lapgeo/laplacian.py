@@ -32,26 +32,37 @@ from .types import (
 )
 
 
+def squared_distance_rows(
+    points: np.ndarray, rows: slice, start: int, out: np.ndarray
+) -> np.ndarray:
+    """Add sum_k (x_ik - x_jk)^2 over the coordinates in order, for i in
+    rows and j from start on, to out, (len(rows), n - start), and return it.
+
+    lapgeo's one chordal arithmetic: every squared chordal distance it
+    computes comes from here, so equal pairs get equal bits wherever they
+    are summed.  The temporary is one difference the size of out."""
+    diff = np.empty_like(out)
+    for col in points.T:
+        np.subtract(col[rows, None], col[None, start:], out=diff)
+        diff *= diff
+        out += diff
+    return out
+
+
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
-    sum_k (x_ik - x_jk)^2 in coordinate order, in one n x n buffer: each
-    row block sums its upper part and mirrors the rest below.  As
-    fl(a - b) = -fl(b - a) and x - x = 0, it is symmetric, zero on the
-    diagonal and for coincident points, and non-negative with no repair.
-    The temporary is one block's difference, about BLOCK_ENTRIES entries."""
+    squared_distance_rows in one n x n buffer: each row block sums its
+    upper part and mirrors the rest below.  As fl(a - b) = -fl(b - a) and
+    x - x = 0, it is symmetric, zero on the diagonal and for coincident
+    points, and non-negative with no repair.  The temporary is one block's
+    difference, about BLOCK_ENTRIES entries."""
     d2 = np.zeros((len(points), len(points)))
     # a block reads only its rows' columns from its first row on; earlier
     # blocks wrote, in these rows, only the columns before it
     for rows in row_blocks(*d2.shape):
         a, b = rows.start, rows.stop
-        g = d2[rows, a:]
-        diff = np.empty_like(g)
-        for col in points.T:
-            np.subtract(col[rows, None], col[None, a:], out=diff)
-            diff *= diff
-            g += diff
-        del diff  # freed before the next block allocates its own
+        g = squared_distance_rows(points, rows, a, d2[rows, a:])
         d2[b:, rows] = g[:, b - a :].T
     return d2
 

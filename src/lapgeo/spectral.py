@@ -11,11 +11,12 @@ is unspecified.
 
 eigendecompose(operator, r) may hold only the kernel and the first r
 non-kernel modes.  It finds them by Chebyshev-filtered subspace iteration
-(Zhou & Saad 2007): a fixed-seed block of r + kernel + GUARD columns is
-filtered by a Chebyshev polynomial that damps [-rho, c], where rho bounds
-the spectral radius and c is the block's lowest Ritz value, then
-orthonormalised (QR) and rotated onto its Ritz vectors (Rayleigh-Ritz),
-until every wanted column's residual |A x - theta x| is at most
+(Zhou & Saad 2007): a counter-based Gaussian block (_start_block) of
+r + kernel + GUARD columns is filtered by a Chebyshev polynomial that
+damps [-rho, c], where rho bounds the spectral radius and c is the
+block's lowest Ritz value, then orthonormalised (QR) and rotated onto
+its Ritz vectors (Rayleigh-Ritz), until every wanted column's residual
+|A x - theta x| is at most
 RESIDUAL_REL * rho.  For a GraphLaplacian rho is its radius: the Gaussian
 kernel's bound for a build_laplacian output (on circle samples about half
 the Gershgorin bound, and at most 2e-4 above the true radius), the
@@ -205,12 +206,11 @@ def _partial(a: np.ndarray, r: int, rho: float) -> SpectralDecomposition | None:
     as it found kernel ones: every column when the kernel fills it.
     """
     n = a.shape[0]
-    rng = np.random.default_rng(0)
     kernel = 1
     x = np.empty((n, 0))
     while rho > 0.0 and CROSSOVER * (r + kernel + GUARD) <= n:
         k = r + kernel + GUARD
-        x = np.hstack([x, rng.standard_normal((n, k - x.shape[1]))])
+        x = np.hstack([x, _start_block(n, x.shape[1], k)])
         solved = _filtered_block(a, x, k - GUARD, rho)
         if solved is None:
             return None
@@ -225,6 +225,37 @@ def _partial(a: np.ndarray, r: int, rho: float) -> SpectralDecomposition | None:
             return _freeze(theta[top][::-1], x[:, top][:, ::-1], kernel_dim)
         kernel += kernel_dim
     return None
+
+
+# SplitMix64 (Steele, Lea & Flood 2014): the k-th output of the generator
+# seeded with 0 mixes (k + 1) * GAMMA
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _splitmix64(k: np.ndarray) -> np.ndarray:
+    """Output k of SplitMix64 from seed 0, for each uint64 counter k."""
+    z = (k + np.uint64(1)) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX[0]
+    z ^= z >> np.uint64(27)
+    z *= _MIX[1]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _start_block(n: int, lo: int, hi: int) -> np.ndarray:
+    """Columns lo..hi of the partial solver's n-row start block: standard
+    normal entries, entry (i, j) from counter c = j n + i by Box-Muller,
+    sqrt(-2 ln u) cos(2 pi v) with u, v in (0, 1] the top 53 bits of
+    SplitMix64 outputs 2c and 2c + 1.  A column depends only on n and its
+    index, so the columns a restart adds are those of a wider block, and no
+    stream of numpy.random, whose bits may change between releases, is
+    involved."""
+    c = np.arange(lo * n, hi * n, dtype=np.uint64)
+    bits = _splitmix64(np.stack([2 * c, 2 * c + np.uint64(1)]))
+    u, v = ((bits >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    return (np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v)).reshape(hi - lo, n).T
 
 
 def _filtered_block(a: np.ndarray, x: np.ndarray, want: int, rho: float):

@@ -260,6 +260,10 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b of the matrix, a read-only view."""
+        return self.matrix[a:b]
+
 
 def validate_candidate(vhat, q: int) -> np.ndarray:
     """Check a coefficient vector against the box [-1, 1]^q and return it

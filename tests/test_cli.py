@@ -86,6 +86,63 @@ class TestEstimateVerb:
         assert b"e-0" in text
         assert text == csv_layout(load_distance_matrix(out).matrix)
 
+    def _streams_the_library_matrix(self, tmp_path, points, h, q, r):
+        """lapgeo estimate on points writes exactly the CSV of
+        estimate_all_distances on the decomposition the verb computes; returns
+        the file's bytes."""
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        pts.write_text("".join(",".join(format(x, ".17g") for x in p) + "\n" for p in points))
+        argv = ["estimate", "--input", str(pts), "--dim", "1",
+                "--volume", format(2 * np.pi, ".17g"), "--bandwidth", repr(h),
+                "--q", str(q), "--r", str(r), "--output", str(out)]
+        assert main(argv) == 0
+        cloud = lg.PointCloud(points)
+        lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, h))
+        cfg = lg.DiracConfig(lg.eigendecompose(lap, r), lg.TruncationParams(q, r))
+        expect = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
+        text = out.read_bytes()
+        assert text == csv_layout(expect.matrix)
+        return text
+
+    def test_streams_copies_as_zeros(self, tmp_path):
+        # five points repeated: the copies share their originals' rows of F
+        points = lg.sample_uniform_circle(60, seed=0).points
+        points = np.vstack([points, points[:5]])
+        text = self._streams_the_library_matrix(tmp_path, points, 0.2, 4, 12)
+        rows = text.split(b"\r\n")
+        for i in range(5):
+            assert rows[60 + i].split(b",")[i] == rows[i].split(b",")[60 + i] == b"0"
+
+    def test_streams_two_points(self, tmp_path):
+        points = np.array([[1.0, 0.0], [0.0, 1.0]])
+        self._streams_the_library_matrix(tmp_path, points, 0.5, 1, 1)
+
+    def test_one_point_writes_nothing(self, tmp_path, capsys):
+        # one point has no non-kernel mode, so no r >= 1 is admissible; the
+        # writer itself streams a one-point source as a single 0
+        pts = tmp_path / "pts.csv"
+        out = tmp_path / "dist.csv"
+        pts.write_text("0.5,0.25\n")
+        argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.28",
+                "--bandwidth", "0.3", "--q", "1", "--r", "1", "--output", str(out)]
+        assert main(argv) == 1
+        assert "r <= rank = 0" in capsys.readouterr().err
+        assert not out.exists()
+        lg.save_distance_matrix(out, lg.DistanceRows(np.array([[0.5, 0.25]]), np.ones((3, 1))))
+        assert out.read_bytes() == csv_layout(np.zeros((1, 1))) == b"0\r\n"
+
+    def test_streamed_bytes_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # 300 rows in chunks of _BLOCK // 300: more chunks than a pool of
+        # one or three workers holds at once
+        points = lg.sample_uniform_circle(300, seed=5).points
+        texts = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            texts.append(self._streams_the_library_matrix(
+                tmp_path, points, 0.5 * 300 ** -0.25, 4, 12))
+        assert texts[0] == texts[1]
+
     def test_seed_is_optional_and_unused(self, tmp_path):
         # the solver draws nothing: no --seed, --seed 0 and --seed 7 write
         # the same bytes
@@ -407,7 +464,7 @@ class TestUnwritableOutput:
         pts = tmp_path / "pts.csv"
         _write_circle(pts)
         monkeypatch.setattr("lapgeo.cli.load_point_cloud", _fail)
-        monkeypatch.setattr("lapgeo.cli.estimate_all_distances", _fail)
+        monkeypatch.setattr("lapgeo.cli.estimate_distance_rows", _fail)
         out = tmp_path / "missing" / "dist.csv"
         argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.28",
                 "--bandwidth", "0.3", "--q", "2", "--r", "6", "--seed", "0",
@@ -500,15 +557,21 @@ def _child_env(**overrides):
     return env
 
 
+def _estimate_argv(tmp_path):
+    """lapgeo estimate's argv on 600 circle points, where it runs the
+    partial eigensolver."""
+    pts = tmp_path / "pts.csv"
+    _write_circle(pts, n=600, seed=2)
+    return ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.283185307179586",
+            "--bandwidth", "0.1", "--q", "4", "--r", "12", "--seed", "0",
+            "--output", str(tmp_path / "dist.csv")]
+
+
 def test_import_does_not_load_scipy(tmp_path):
     # only the baseline verb needs scipy; it imports it on first use.  A
     # whole estimate run, partial eigensolver included, stays on numpy.
     env = _child_env()
-    pts = tmp_path / "pts.csv"
-    _write_circle(pts, n=600, seed=2)
-    argv = ["estimate", "--input", str(pts), "--dim", "1", "--volume", "6.283185307179586",
-            "--bandwidth", "0.1", "--q", "4", "--r", "12", "--seed", "0",
-            "--output", str(tmp_path / "dist.csv")]
+    argv = _estimate_argv(tmp_path)
     show = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     for code in ("import sys, lapgeo, lapgeo.cli; " + show,
                  f"import sys, lapgeo.cli; assert lapgeo.cli.main({argv!r}) == 0; " + show):
@@ -516,6 +579,19 @@ def test_import_does_not_load_scipy(tmp_path):
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def test_estimate_does_not_load_numpy_random(tmp_path):
+    # the partial eigensolver's start block is counter-based: an estimate
+    # run loads neither numpy.random nor the secrets, hashlib and OpenSSL
+    # modules behind it
+    argv = _estimate_argv(tmp_path)
+    code = (f"import sys, lapgeo.cli; assert lapgeo.cli.main({argv!r}) == 0; "
+            "print([m for m in ('numpy.random', '_hashlib') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # Records OPENBLAS_THREAD_TIMEOUT when `import lapgeo` first asks for numpy,

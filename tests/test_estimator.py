@@ -17,9 +17,9 @@ from lapgeo.estimator import (
     DEGENERATE,
     _candidate_cols,
     _Clamps,
-    _chebyshev_floor,
     _dirac_gram,
     _landmark_pairs,
+    _matrix,
     _objective_cols,
     _row_distances,
     _solve_pairs,
@@ -397,7 +397,7 @@ class TestEstimateAllDistances:
 
     @pytest.mark.parametrize("n", [1, 2, 15, 17, 53])
     def test_tiled_floor_matches_brute_force(self, monkeypatch, n):
-        # the floor's tiles are its row blocks, one per worker task
+        # the matrix's tiles are its row blocks, one per worker task
         rng = np.random.default_rng(n)
         emb = rng.normal(size=(n, 37))
         points = rng.normal(size=(n, 2))
@@ -413,13 +413,14 @@ class TestEstimateAllDistances:
         n = 53
         cfg, cloud = _circle(n, 12, q=4, r=12)
         embeddings = []
-        floor = est._chebyshev_floor
+        rows = est.estimate_distance_rows
 
-        def spy(dist, emb):
-            embeddings.append(emb.T.copy())
-            floor(dist, emb)
+        def spy(*args):
+            source = rows(*args)
+            embeddings.append(source.embedding.T.copy())
+            return source
 
-        monkeypatch.setattr(est, "_chebyshev_floor", spy)
+        monkeypatch.setattr(est, "estimate_distance_rows", spy)
         d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
         (emb,) = embeddings
         assert emb.shape == (n, 32)
@@ -496,11 +497,10 @@ FLOOR_INPUTS = _floor_inputs()
 
 
 def _floor(points, emb):
-    """(chordal, floored) for a cloud and its (n, m) embedding."""
+    """(chordal, floored) for a cloud and its (n, m) embedding, the floored
+    matrix built as estimate_all_distances builds it."""
     chordal = np.sqrt(squared_distances(points))
-    dist = chordal.copy()
-    _chebyshev_floor(dist, np.ascontiguousarray(emb.T))
-    return chordal, dist
+    return chordal, _matrix(est.DistanceRows(points, np.ascontiguousarray(emb.T)))
 
 
 class TestChebyshevFloor:
@@ -519,13 +519,27 @@ class TestChebyshevFloor:
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         assert dist.tobytes() == brute.tobytes()
 
+    @pytest.mark.parametrize(
+        "points, emb", [c[1:] for c in FLOOR_INPUTS], ids=[c[0] for c in FLOOR_INPUTS]
+    )
+    def test_any_window_of_rows_matches_brute_force(self, points, emb):
+        # the one row kernel: the writer's whole rows and the matrix's upper
+        # parts are windows of the same entries, bit for bit
+        chordal = np.sqrt(squared_distances(points))
+        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+        source = est.DistanceRows(points, np.ascontiguousarray(emb.T))
+        n = source.n
+        for a, b, start in {(0, n, 0), (0, 1, 0), (n // 3, n, n // 3), (n // 2, n, 0),
+                            (n - 1, n, n - 1), (n // 4, n // 2 + 1, n // 5)}:
+            rows = source.rows(a, b, start)
+            assert rows.tobytes() == brute[a:b, start:].tobytes()
+
     def test_floor_leaves_the_embedding_as_it_was(self):
         _, points, emb = FLOOR_INPUTS[-1]
         cols = np.ascontiguousarray(emb.T)
         cols.setflags(write=False)
         before = cols.copy()
-        dist = np.sqrt(squared_distances(points))
-        _chebyshev_floor(dist, cols)
+        est.DistanceRows(points, cols).rows(0, points.shape[0])
         assert cols.tobytes() == before.tobytes()
 
     def test_peak_is_one_matrix_plus_the_embedding(self, monkeypatch):
@@ -534,13 +548,14 @@ class TestChebyshevFloor:
         n = 600
         cfg, cloud = _circle(n, 17, q=4, r=12)
         widths = []
-        floor = est._chebyshev_floor
+        rows = est.estimate_distance_rows
 
-        def spy(dist, emb):
-            widths.append(emb.shape[0])
-            return floor(dist, emb)
+        def spy(*args):
+            source = rows(*args)
+            widths.append(source.embedding.shape[0])
+            return source
 
-        monkeypatch.setattr(est, "_chebyshev_floor", spy)
+        monkeypatch.setattr(est, "estimate_distance_rows", spy)
         tracemalloc.start()
         try:
             lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
@@ -548,8 +563,8 @@ class TestChebyshevFloor:
         finally:
             tracemalloc.stop()
         (m,) = widths
-        # the chordal matrix, the embedding and one row block's scratch (of
-        # squared_distances, then of the floor), with 256 kB for the rest
+        # the matrix, the embedding and one row block's scratch (of the
+        # chordal sum, then of the floor), with 256 kB for the rest
         assert peak < 8 * (n * n + n * m + BLOCK_ENTRIES) + (256 << 10)
 
 

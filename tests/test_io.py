@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import lapgeo as lg
+import lapgeo.io as lapgeo_io
 from conftest import csv_layout
 from lapgeo.errors import InputError
 from lapgeo.laplacian import squared_distances
@@ -162,20 +163,42 @@ def test_distance_matrix_layout_property(tmp_path_factory, values):
     assert _saved_bytes(path, d) == csv_layout(d.matrix)
 
 
-@pytest.mark.parametrize("n", [0, 1, 131])
-def test_distance_matrix_layout_any_size(tmp_path, n):
-    # 131 * 131 entries: a full block, then a partial one, with a row that
-    # crosses the boundary between them
-    assert n < 2 or (n * n > _BLOCK and n * n % _BLOCK and _BLOCK % n)
+def _random_matrix(n):
+    """A symmetric n x n matrix of TABLE's positive values and uniform ones."""
     rng = np.random.default_rng(n)
     pool = [x for x in TABLE if x > 0.0] + list(rng.uniform(0.0, 4.0, 50))
     m = np.zeros((n, n))
     i, j = np.triu_indices(n, 1)
     m[i, j] = m[j, i] = rng.choice(pool, size=i.size)
+    return m
+
+
+@pytest.mark.parametrize("n", [0, 1, 131])
+def test_distance_matrix_layout_any_size(tmp_path, n):
+    # 131 rows: a full chunk of _BLOCK // 131 rows, then a partial one
+    assert n < 2 or (n > _BLOCK // n and n % (_BLOCK // n))
+    m = _random_matrix(n)
     d = lg.DistanceMatrix(m)
     expected = csv_layout(m)
     assert (n > 0) == bool(expected)
     assert _saved_bytes(tmp_path / "d.csv", d) == expected
+
+
+def test_distance_matrix_layout_one_row_per_chunk(tmp_path, monkeypatch):
+    # fewer entries per chunk than a row holds: each chunk is a single row
+    n = 131
+    monkeypatch.setattr(lapgeo_io, "_BLOCK", 100)
+    chunks = []
+    format_block = lapgeo_io._format_block
+
+    def spy(source, a, b, chars, kept):
+        chunks.append((a, b))
+        return format_block(source, a, b, chars, kept)
+
+    monkeypatch.setattr(lapgeo_io, "_format_block", spy)
+    m = _random_matrix(n)
+    assert _saved_bytes(tmp_path / "d.csv", lg.DistanceMatrix(m)) == csv_layout(m)
+    assert chunks == [(i, i + 1) for i in range(n)]
 
 
 def _divmod_digits(N, chars, kept):

@@ -140,6 +140,21 @@ class TestPartialEigendecompose:
         assert np.array_equal(again.eigenvalues, partial_decomposition.eigenvalues)
         assert np.array_equal(again.eigenvectors, partial_decomposition.eigenvectors)
 
+    def test_start_block_is_counter_based(self):
+        # columns lo..hi of a block are those columns of a wider one, so a
+        # restart's new columns are the ones a first block that wide draws;
+        # the bits repeat from call to call
+        n = 700
+        wide = spectral._start_block(n, 0, 30)
+        assert wide.shape == (n, 30)
+        assert wide.tobytes() == spectral._start_block(n, 0, 30).tobytes()
+        for lo, hi in ((0, 21), (21, 30), (5, 6)):
+            assert spectral._start_block(n, lo, hi).tobytes() == wide[:, lo:hi].copy().tobytes()
+        # standard normal entries: mean and variance within 5 standard errors
+        assert abs(wide.mean()) < 5.0 / np.sqrt(wide.size)
+        assert abs(wide.var() - 1.0) < 5.0 * np.sqrt(2.0 / wide.size)
+        assert np.all(np.isfinite(wide))
+
     def test_dense_below_crossover(self):
         # the loss sweep's largest cell: n = 400 with r = 20 stays on eigh
         op = circle_laplacian(400)
