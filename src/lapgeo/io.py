@@ -184,11 +184,16 @@ def _format_block(source, a, b, chars, kept):
     # slice copies over one run of rows, then put back in place
     order = np.argsort(X, kind="stable")
     D, sig = _digits(N[order], chars, kept)
+    # scratch is dropped once spent, so the text, the mask and the output
+    # are the largest arrays alive at once: about 90 bytes per entry
+    del N
     sorted_text, length = _layout(X[order], D, sig)
+    del D, sig
     text = np.empty_like(sorted_text)
     text.view(f"V{_FIELD}")[order] = sorted_text.view(f"V{_FIELD}")
     L = np.empty(size, dtype=np.uint8)
     L[order] = length
+    del order, length
 
     if not fast.all():
         zero = np.flatnonzero(v == 0.0)
@@ -210,7 +215,9 @@ def _format_block(source, a, b, chars, kept):
     text[row_ends, L[row_ends] + 1] = ord("\n")
     L += 1
     L[row_ends] += 1
-    return text[np.arange(_FIELD, dtype=np.uint8) < L[:, None]]
+    # the sorted text is spent: its buffer holds the mask of kept bytes
+    keep = np.less(np.arange(_FIELD, dtype=np.uint8), L[:, None], out=sorted_text.view(bool))
+    return text[keep]
 
 
 def save_distance_matrix(path, dist) -> None:

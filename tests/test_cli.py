@@ -581,17 +581,33 @@ def test_import_does_not_load_scipy(tmp_path):
         assert proc.stdout.strip() == "[]"
 
 
-def test_estimate_does_not_load_numpy_random(tmp_path):
-    # the partial eigensolver's start block is counter-based: an estimate
-    # run loads neither numpy.random nor the secrets, hashlib and OpenSSL
-    # modules behind it
-    argv = _estimate_argv(tmp_path)
+def _loss_argv(tmp_path):
+    """lapgeo loss-experiment's argv on a small sweep."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_values": [20, 40], "n_seeds": 2,
+                               "output_path": str(tmp_path / "loss.csv")}))
+    return ["loss-experiment", "--config", str(cfg)]
+
+
+def _random_modules_after(argv):
+    """Which of numpy.random and the secrets and OpenSSL modules behind it
+    a fresh interpreter holds after main(argv) returns 0."""
     code = (f"import sys, lapgeo.cli; assert lapgeo.cli.main({argv!r}) == 0; "
-            "print([m for m in ('numpy.random', '_hashlib') if m in sys.modules])")
+            "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_estimate_does_not_load_numpy_random(tmp_path):
+    # the partial eigensolver's start block is counter-based
+    assert _random_modules_after(_estimate_argv(tmp_path)) == "[]"
+
+
+def test_loss_experiment_does_not_load_numpy_random(tmp_path):
+    # the circle sampler computes numpy's stream itself
+    assert _random_modules_after(_loss_argv(tmp_path)) == "[]"
 
 
 # Records OPENBLAS_THREAD_TIMEOUT when `import lapgeo` first asks for numpy,

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lapgeo.io import (
     _BLOCK,
     _digit_tables,
     _digits,
+    _format_block,
     check_output_dir,
     load_distance_matrix,
     save_distance_matrix,
@@ -242,6 +244,25 @@ def test_distance_matrix_bytes_independent_of_worker_count(tmp_path, monkeypatch
     # platforms without sched_getaffinity (macOS, Windows) use cpu_count
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _saved_bytes(tmp_path / "d.csv", d) == expected
+
+
+def test_format_block_scratch_per_entry():
+    # one 16384-entry chunk: the digits, N and the sort order are freed once
+    # used, and the mask of kept bytes reuses the sorted text's buffer, so
+    # the text, the mask and the output are the largest arrays live at once
+    n = 128
+    rng = np.random.default_rng(5)
+    d = lg.DistanceMatrix(np.sqrt(squared_distances(rng.normal(size=(n, 2)))))
+    chars, kept = _digit_tables()
+    expected = _format_block(d, 0, n, chars, kept)
+    tracemalloc.start()
+    try:
+        out = _format_block(d, 0, n, chars, kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == expected.tobytes() == csv_layout(d.matrix)
+    assert peak < 100 * n * n
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
