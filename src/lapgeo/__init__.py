@@ -11,11 +11,12 @@ import os as _os
 # Before anything imports numpy, whose OpenBLAS reads this once, at load
 # (as does scipy's own OpenBLAS, which the baseline loads later).  After
 # each threaded call OpenBLAS's idle workers busy-wait 2^timeout TSC cycles
-# before they sleep: 2^28, about 0.13 s at 2.1 GHz, by default.  The
-# Chebyshev floor and the CSV writer run their worker_count() pools right
-# after the eigensolver's products, and on two cores they shared the CPUs
-# with that spin.  2^22 cycles (about 2 ms) still spans the gaps between
-# the filter's back-to-back products.  Measured on a 2-core host, 1000
+# before they sleep: 2^28, about 0.13 s at 2.1 GHz, by default.  The CSV
+# writer's pool (io.worker_count()), which computes the Chebyshev floor
+# chunk by chunk as it formats, runs right after the eigensolver's
+# products, and on two cores it shared the CPUs with that spin.  2^22
+# cycles (about 2 ms) still spans the gaps between the filter's
+# back-to-back products.  Measured on a 2-core host, 1000
 # circle points, fresh processes: the CSV write 99 -> 68 ms, the floor
 # 23 -> 22 ms, the whole estimate 249 -> 218 ms, eigendecompose 32 ms
 # either way.  20 to 26 did as well; below 20, eigendecompose's first call
@@ -35,7 +36,6 @@ from .baseline import (
 from .circle import (
     analytic_eigenbasis,
     circle_geodesic,
-    covering_radius_circle,
     distance_fourier_coeffs,
     embed,
     equally_spaced_angles,

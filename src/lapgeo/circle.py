@@ -2,8 +2,8 @@
 
 Everything here has a closed form: geodesic distances, the Laplace
 eigenbasis sampled at given angles, Fourier coefficients of the distance
-function, the q-term rescaled partial sum used as a resolution-limited
-distance oracle, and the covering radius of an angle sample.
+function, and the q-term rescaled partial sum used as a
+resolution-limited distance oracle.
 
 The oracle's derivative rows on its grid depend only on the row index,
 so one module-level table serves every q up to its height: it is built
@@ -235,13 +235,3 @@ def q_resolved_distance(t0: float, t1: float, q: int) -> float:
     f1 = np.pi / 2.0 + coeffs @ analytic_eigenbasis([t1], q)[1][0]
     sup_grad = np.max(np.abs(coeffs @ _derivative_table(q)[:q]))
     return float(np.abs(f0 - f1) / max(sup_grad, 1.0))
-
-
-def covering_radius_circle(thetas) -> float:
-    """Half the largest angular gap between circularly sorted samples: the
-    farthest any circle point can be from the sample set."""
-    t = np.sort(np.asarray(thetas, dtype=float) % TWO_PI)
-    if t.size == 0:
-        raise InputError("need at least one point")
-    gaps = np.diff(t, append=t[0] + TWO_PI)
-    return float(np.max(gaps) / 2.0)

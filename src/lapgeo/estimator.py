@@ -35,7 +35,6 @@ CSV writer streams without the n x n array.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,8 @@ from .types import (
     PointCloud,
     TruncationParams,
     _adopt,
-    row_blocks,
+    mirrored,
     validate_candidate,
-    worker_count,
 )
 
 log = logging.getLogger(__name__)
@@ -148,31 +146,20 @@ def dirac_squared(cfg: DiracConfig, v) -> np.ndarray:
     return _dirac_squared_cols(cfg, v[:, None], lv[:, None])[:, 0]
 
 
-class _Clamps:
-    """Dirac-squared coordinates below NEGATIVITY_TOL seen over one public
-    call: their count and the worst value, logged once by report()."""
-
-    def __init__(self):
-        self.count = 0
-        self.worst = 0.0
-
-    def sup(self, d2_cols: np.ndarray) -> np.ndarray:
-        """Column-wise sqrt of the max coordinate, negatives clamped to
-        zero; the coordinates below NEGATIVITY_TOL are tallied."""
-        worst = d2_cols.min(initial=0.0)
-        if worst < NEGATIVITY_TOL:
-            self.count += int(np.count_nonzero(d2_cols < NEGATIVITY_TOL))
-            self.worst = min(self.worst, float(worst))
-        return np.sqrt(np.maximum(d2_cols.max(axis=0), 0.0))
-
-    def report(self):
-        if self.count:
-            log.warning(
-                "clamping %d dirac-squared coordinates below %g (worst %g)",
-                self.count,
-                NEGATIVITY_TOL,
-                self.worst,
-            )
+def _grad_sups(d2_cols: np.ndarray) -> np.ndarray:
+    """Column-wise sqrt of the max Dirac-squared coordinate, negatives
+    clamped to zero.  Coordinates below NEGATIVITY_TOL are logged in one
+    warning, their count and the worst value; each public call scores its
+    candidates once, so it logs at most once."""
+    worst = d2_cols.min(initial=0.0)
+    if worst < NEGATIVITY_TOL:
+        log.warning(
+            "clamping %d dirac-squared coordinates below %g (worst %g)",
+            int(np.count_nonzero(d2_cols < NEGATIVITY_TOL)),
+            NEGATIVITY_TOL,
+            float(worst),
+        )
+    return np.sqrt(np.maximum(d2_cols.max(axis=0), 0.0))
 
 
 def _candidate_cols(
@@ -192,20 +179,17 @@ def grad_sup(cfg: DiracConfig, vhat) -> float:
     """sup-norm of the Dirac gradient field of the candidate function
     sum_k vhat_k e_k."""
     vhat = validate_candidate(vhat, cfg.q)
-    clamps = _Clamps()
-    sup = float(clamps.sup(_candidate_cols(cfg, vhat[:, None])[1])[0])
-    clamps.report()
-    return sup
+    return float(_grad_sups(_candidate_cols(cfg, vhat[:, None])[1])[0])
 
 
 def _objective_cols(
-    cfg: DiracConfig, vhat_cols: np.ndarray, a: int, b: int, clamps: _Clamps
+    cfg: DiracConfig, vhat_cols: np.ndarray, a: int, b: int
 ) -> np.ndarray:
     """Objective for each coefficient column; DEGENERATE where the gradient
     sup vanishes under a non-zero separation."""
     f_cols, d2_cols = _candidate_cols(cfg, vhat_cols)
     numer = np.abs(f_cols[a] - f_cols[b])
-    sups = clamps.sup(d2_cols)
+    sups = _grad_sups(d2_cols)
     out = np.full(vhat_cols.shape[1], DEGENERATE)
     ok = sups >= GRAD_EPS
     out[ok] = numer[ok] / sups[ok]
@@ -228,10 +212,7 @@ def objective(cfg: DiracConfig, vhat, a: int, b: int) -> float:
     """
     _check_pair(cfg, a, b)
     vhat = validate_candidate(vhat, cfg.q)
-    clamps = _Clamps()
-    val = float(_objective_cols(cfg, vhat[:, None], a, b, clamps)[0])
-    clamps.report()
-    return val
+    return float(_objective_cols(cfg, vhat[:, None], a, b)[0])
 
 
 def _dirac_gram(cfg: DiracConfig) -> np.ndarray:
@@ -350,14 +331,33 @@ def _landmark_pairs(
     return a, b
 
 
+def _solved_candidates(
+    cfg: DiracConfig, c: np.ndarray, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible candidates of the pairs with rows c, (L, q): each
+    pair's best column from _solve_pairs with `steps` updates, scored once.
+    Returns their sample values f, (n, m), and gradient sups, (m,), keeping
+    the m columns whose solve found a value and whose sup is at least
+    GRAD_EPS; EstimationFailedError if none is left."""
+    value, cols, _ = _solve_pairs(_dirac_gram(cfg), c, steps)
+    f_cols, d2_cols = _candidate_cols(cfg, cols[:, value != DEGENERATE])
+    sups = _grad_sups(d2_cols)
+    ok = sups >= GRAD_EPS
+    if not ok.any():
+        raise EstimationFailedError("no solved pair gave an admissible candidate")
+    return f_cols[:, ok], sups[ok]
+
+
 def estimate_distance(
     cfg: DiracConfig, a: int, b: int, opt: OptimizerConfig
 ) -> float:
-    """Estimated intrinsic distance between samples a and b: the objective
-    of the best column of the pair's primal-dual solve (_solve_pairs with
-    opt.n_refine updates); 0 when E_q does not separate the two samples.
-    No chordal floor is applied, so unlike estimate_all_distances the result
-    can fall below the Euclidean distance between the two samples."""
+    """Estimated intrinsic distance between samples a and b: |f(a) - f(b)|
+    over the gradient sup of the pair's solved candidate f
+    (_solved_candidates with opt.n_refine updates); 0 when E_q does not
+    separate the two samples, EstimationFailedError when the solve gives no
+    admissible candidate.  No chordal floor is applied, so unlike
+    estimate_all_distances the result can fall below the Euclidean
+    distance between the two samples."""
     _check_pair(cfg, a, b)
     if a == b:
         return 0.0
@@ -365,14 +365,8 @@ def estimate_distance(
     c = basis_q[a] - basis_q[b]
     if not np.any(c):
         return 0.0
-    value, cols, _ = _solve_pairs(_dirac_gram(cfg), c[None, :], opt.n_refine)
-    if value[0] == DEGENERATE:
-        raise EstimationFailedError("the pair's solve found no admissible candidate")
-    clamps = _Clamps()
-    try:
-        return float(_objective_cols(cfg, cols, a, b, clamps)[0])
-    finally:
-        clamps.report()
+    f_cols, sups = _solved_candidates(cfg, c[None, :], opt.n_refine)
+    return float(np.abs(f_cols[a, 0] - f_cols[b, 0]) / sups[0])
 
 
 @dataclass(frozen=True)
@@ -410,23 +404,11 @@ class DistanceRows:
 
 
 def _matrix(source: DistanceRows) -> np.ndarray:
-    """The n x n matrix of a DistanceRows.  Each row block of
-    types.row_blocks computes its columns from its first row on and copies
-    the part right of its diagonal block, transposed, below the diagonal.
-    The blocks are spread over worker_count() threads; no two write the
-    same entry, so the result does not depend on the worker count."""
-    n = source.n
-    dist = np.zeros((n, n))
-
-    def fill(rows: slice):
-        a, b = rows.start, rows.stop
-        block = source.rows(a, b, a, out=dist[rows, a:])
-        dist[b:, rows] = block[:, b - a :].T
-
-    with ThreadPoolExecutor(worker_count()) as pool:
-        # list() re-raises a worker's exception here
-        list(pool.map(fill, row_blocks(n, n)))
-    return dist
+    """The n x n matrix of a DistanceRows, by types.mirrored: each row
+    block's columns from its first row on, mirrored below the diagonal."""
+    return mirrored(
+        source.n, lambda rows, out: source.rows(rows.start, rows.stop, rows.start, out)
+    )
 
 
 def estimate_distance_rows(
@@ -447,18 +429,9 @@ def estimate_distance_rows(
         )
     basis_q = dec.leading(cfg.q)
     a, b = _landmark_pairs(basis_q, cloud.points, min(opt.n_samples, dec.n))
-    value, cols, _ = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], opt.n_refine)
-    clamps = _Clamps()
-    try:
-        f_cols, d2_cols = _candidate_cols(cfg, cols[:, value != DEGENERATE])
-        sups = clamps.sup(d2_cols)
-    finally:
-        clamps.report()
-    ok = sups >= GRAD_EPS
-    if not ok.any():
-        raise EstimationFailedError("no landmark pair gave an admissible candidate")
+    f_cols, sups = _solved_candidates(cfg, basis_q[a] - basis_q[b], opt.n_refine)
     _, first, same = np.unique(cloud.points, axis=0, return_index=True, return_inverse=True)
-    emb = (f_cols[np.ix_(first[same], ok)] / sups[ok]).T.copy()
+    emb = (f_cols[first[same]] / sups).T.copy()
     emb.setflags(write=False)
     return DistanceRows(cloud.points, emb)
 

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InputError
-from .types import DistanceMatrix, PointCloud, _adopt, worker_count
+from .types import DistanceMatrix, PointCloud, _adopt
 
 
 def _parse_row(row, row_number: int):
@@ -218,6 +218,17 @@ def _format_block(source, a, b, chars, kept):
     # the sorted text is spent: its buffer holds the mask of kept bytes
     keep = np.less(np.arange(_FIELD, dtype=np.uint8), L[:, None], out=sorted_text.view(bool))
     return text[keep]
+
+
+def worker_count() -> int:
+    """Threads of the CSV writer, lapgeo's one thread pool (numpy releases
+    the GIL in the ufuncs that format a chunk): one per usable CPU, or per
+    CPU where affinity is unknown (macOS, Windows).  The writer runs right
+    after the eigensolver's threaded BLAS products; it gets every CPU only
+    once BLAS's idle threads sleep, which lapgeo's OPENBLAS_THREAD_TIMEOUT
+    default makes happen within milliseconds."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def save_distance_matrix(path, dist) -> None:

@@ -28,7 +28,7 @@ from .types import (
     ManifoldConfig,
     PointCloud,
     _adopt,
-    row_blocks,
+    mirrored,
 )
 
 
@@ -52,19 +52,14 @@ def squared_distance_rows(
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
-    squared_distance_rows in one n x n buffer: each row block sums its
-    upper part and mirrors the rest below.  As fl(a - b) = -fl(b - a) and
-    x - x = 0, it is symmetric, zero on the diagonal and for coincident
-    points, and non-negative with no repair.  The temporary is one block's
-    difference, about BLOCK_ENTRIES entries."""
-    d2 = np.zeros((len(points), len(points)))
-    # a block reads only its rows' columns from its first row on; earlier
-    # blocks wrote, in these rows, only the columns before it
-    for rows in row_blocks(*d2.shape):
-        a, b = rows.start, rows.stop
-        g = squared_distance_rows(points, rows, a, d2[rows, a:])
-        d2[b:, rows] = g[:, b - a :].T
-    return d2
+    squared_distance_rows in one n x n buffer by types.mirrored: each row
+    block sums its upper part and mirrors the rest below.  As
+    fl(a - b) = -fl(b - a) and x - x = 0, it is symmetric, zero on the
+    diagonal and for coincident points, and non-negative with no repair.
+    The temporary is one block's difference, about BLOCK_ENTRIES entries."""
+    return mirrored(
+        len(points), lambda rows, out: squared_distance_rows(points, rows, rows.start, out)
+    )
 
 
 def gram_distances(cloud: PointCloud) -> DistanceMatrix:

@@ -5,15 +5,12 @@ exists is an instance that is valid.  Arrays are stored read-only; the
 types are safe to share between threads.  The public constructors copy
 what they are given; lapgeo's own builders hand over a fresh array through
 _adopt, which freezes it in place.  The n x n checks run over row blocks
-of about BLOCK_ENTRIES entries, so a check holds no n x n temporary;
-worker_count() sizes lapgeo's own thread pools, those of the n x n loops.
-BLAS sizes its threads itself; lapgeo only lets them sleep soon after the
-last threaded call (see the package's __init__).
+of about BLOCK_ENTRIES entries, so a check holds no n x n temporary, and
+mirrored() builds the symmetric n x n arrays over the same blocks.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,15 +36,20 @@ def row_blocks(n: int, width: int):
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def worker_count() -> int:
-    """Threads for the n^2 loops (numpy releases the GIL in their ufuncs):
-    one per usable CPU, or per CPU where affinity is unknown (macOS,
-    Windows).  The Chebyshev floor and the CSV writer run these pools right
-    after the eigensolver's threaded BLAS products; they get every CPU only
-    once BLAS's idle threads sleep, which lapgeo's OPENBLAS_THREAD_TIMEOUT
-    default makes happen within milliseconds."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+def mirrored(n: int, fill) -> np.ndarray:
+    """A fresh n x n array built one row block at a time, serially:
+    fill(rows, out) writes the entries of rows, from column
+    rows.start on, into out, given holding zeros, and the part right of the
+    block's diagonal block is copied, transposed, below it.  A block writes
+    only entries no earlier block wrote.  The result is symmetric wherever
+    fill's diagonal blocks are."""
+    m = np.zeros((n, n))
+    for rows in row_blocks(n, n):
+        a, b = rows.start, rows.stop
+        block = m[rows, a:]
+        fill(rows, block)
+        m[b:, rows] = block[:, b - a :].T
+    return m
 
 
 def _adopt(cls, matrix: np.ndarray):

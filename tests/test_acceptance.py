@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import lapgeo as lg
-from lapgeo.estimator import _Clamps, _objective_cols
+from lapgeo.estimator import _objective_cols
 from lapgeo.spectral import operator_from_modes
 
 from conftest import grad_sup_spectral
@@ -154,7 +154,7 @@ def test_criterion_4_brute_force_equivalence():
     worst = 0.0
     for _ in range(5):
         a, b = (int(i) for i in rng.choice(8, size=2, replace=False))
-        brute = float(np.max(_objective_cols(cfg, grid_cols, a, b, _Clamps())))
+        brute = float(np.max(_objective_cols(cfg, grid_cols, a, b)))
         est = lg.estimate_distance(cfg, a, b, opt)
         worst = max(worst, abs(est - brute) / brute)
 

@@ -12,7 +12,6 @@ from lapgeo import circle
 from lapgeo.circle import (
     GRID_SIZE,
     TWO_PI,
-    covering_radius_circle,
     distance_fourier_coeffs,
     equally_spaced_angles,
     q_resolved_distance,
@@ -262,23 +261,3 @@ class TestDerivativeTable:
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
-
-
-class TestCoveringRadius:
-    def test_four_equally_spaced(self):
-        assert covering_radius_circle(equally_spaced_angles(4)) == pytest.approx(
-            np.pi / 4, abs=1e-12
-        )
-
-    def test_single_point(self):
-        assert covering_radius_circle(np.array([1.0])) == pytest.approx(np.pi, abs=1e-12)
-
-    def test_matches_grid_oracle(self):
-        rng = np.random.default_rng(25)
-        thetas = rng.uniform(0, 2 * np.pi, size=100)
-        grid = np.linspace(0.0, 2 * np.pi, 100_000, endpoint=False)
-        worst = 0.0
-        for chunk in np.array_split(grid, 10):
-            d = lg.circle_geodesic(chunk[:, None], thetas[None, :])
-            worst = max(worst, float(d.min(axis=1).max()))
-        assert covering_radius_circle(thetas) == pytest.approx(worst, abs=1e-3)

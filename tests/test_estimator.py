@@ -16,8 +16,8 @@ import lapgeo.estimator as est
 from lapgeo.estimator import (
     DEGENERATE,
     _candidate_cols,
-    _Clamps,
     _dirac_gram,
+    _grad_sups,
     _landmark_pairs,
     _matrix,
     _objective_cols,
@@ -189,18 +189,21 @@ class TestGradSup:
 
 
 class TestClamps:
-    def test_sup_clamps_the_column_maxima(self):
+    def test_sup_clamps_the_column_maxima(self, caplog):
         # columns: all negative, mixed around NEGATIVITY_TOL, zero, positive
         d2 = np.array([
             [-3e-7, 4e-3, 0.0, 2.5],
             [-1e-9, -2e-8, 0.0, 1e-14],
             [-5e-2, -1e-10, 0.0, 0.75],
         ])
-        clamps = est._Clamps()
-        sup = clamps.sup(d2)
+        with caplog.at_level(logging.WARNING, logger="lapgeo"):
+            sup = _grad_sups(d2)
         assert sup.tobytes() == np.sqrt(np.maximum(d2, 0.0).max(axis=0)).tobytes()
-        assert clamps.count == np.count_nonzero(d2 < est.NEGATIVITY_TOL) == 3
-        assert clamps.worst == d2.min() == -5e-2
+        (record,) = caplog.records
+        count, tol, worst = record.args
+        assert count == np.count_nonzero(d2 < est.NEGATIVITY_TOL) == 3
+        assert tol == est.NEGATIVITY_TOL
+        assert worst == d2.min() == -5e-2
 
 
 class TestObjective:
@@ -280,10 +283,23 @@ class TestEstimateDistance:
         with pytest.raises(EstimationFailedError):
             lg.estimate_distance(cfg, 0, 1, opt)
 
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_is_the_objective_of_the_solved_column(self, q):
+        # the pair's candidate is scored once: the estimate has the bits of
+        # the objective of the column its solve returns
+        cfg, _ = _circle(120, 5, q=q, r=20)
+        opt = lg.OptimizerConfig()
+        basis_q = cfg.decomposition.leading(q)
+        for a, b in ((0, 37), (5, 90), (61, 62), (119, 3)):
+            c = (basis_q[a] - basis_q[b])[None, :]
+            _, cols, _ = _solve_pairs(_dirac_gram(cfg), c, opt.n_refine)
+            objective = float(_objective_cols(cfg, cols, a, b)[0])
+            assert lg.estimate_distance(cfg, a, b, opt) == objective
+
 
 class TestEstimateAllDistances:
     def test_zero_samples_is_input_error(self):
-        # the chordal matrix alone is gram_distances; a search needs a draw
+        # the chordal matrix alone is gram_distances; the solve needs a pair
         with pytest.raises(InputError, match="n_samples"):
             lg.OptimizerConfig(n_samples=0, n_refine=0, seed=0)
 
@@ -396,18 +412,13 @@ class TestEstimateAllDistances:
             lg.estimate_all_distances(cfg, cloud, opt)
 
     @pytest.mark.parametrize("n", [1, 2, 15, 17, 53])
-    def test_tiled_floor_matches_brute_force(self, monkeypatch, n):
-        # the matrix's tiles are its row blocks, one per worker task
+    def test_tiled_floor_matches_brute_force(self, n):
         rng = np.random.default_rng(n)
         emb = rng.normal(size=(n, 37))
         points = rng.normal(size=(n, 2))
-        brute = None
-        for workers in (1, 2):
-            monkeypatch.setattr(est, "worker_count", lambda w=workers: w)
-            chordal, dist = _floor(points, emb)
-            if brute is None:
-                brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
-            assert dist.tobytes() == brute.tobytes()
+        chordal, dist = _floor(points, emb)
+        brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
+        assert dist.tobytes() == brute.tobytes()
 
     def test_floors_the_embedding_brute_force(self, monkeypatch):
         n = 53
@@ -603,7 +614,7 @@ class TestSolver:
         rng = np.random.default_rng(4)
         for _ in range(5):
             a, b = (int(i) for i in rng.choice(8, size=2, replace=False))
-            brute = float(np.max(_objective_cols(cfg, grid_cols, a, b, _Clamps())))
+            brute = float(np.max(_objective_cols(cfg, grid_cols, a, b)))
             c = (basis_q[a] - basis_q[b])[None, :]
             _, _, bound = _solve_pairs(_dirac_gram(cfg), c, 100)
             assert bound[0] >= brute * (1 - 1e-12)
@@ -703,17 +714,26 @@ def test_clamping_is_logged(caplog):
 
 
 def test_clamping_is_logged_once_per_estimate(caplog):
-    # the instance of test_clamping_is_logged: each search below clamps in
-    # over 400 of its scoring calls
+    # the instance of test_clamping_is_logged: each call below scores its
+    # candidates once, and some of their Dirac-squared coordinates clamp
     thetas = lg.sample_circle_angles(40, seed=2)
     vals, modes = lg.analytic_eigenbasis(thetas, 8)
     dec = lg.eigendecompose(operator_from_modes(vals, modes))
     cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=8))
     cloud = lg.embed(thetas)
     opt = lg.OptimizerConfig(seed=0)
+    vhat = np.array([0.4, 0.2, -0.1, 0.6])
+    calls = [
+        lambda: lg.estimate_all_distances(cfg, cloud, opt),
+        lambda: lg.estimate_all_distances(cfg, cloud, opt),
+        lambda: lg.estimate_distance(cfg, 0, 7, opt),
+        lambda: lg.grad_sup(cfg, vhat),
+        lambda: lg.objective(cfg, vhat, 0, 7),
+        lambda: lg.oracle_plugin_estimate(cfg, 2.0 * vhat, 0, 7),
+    ]
     with caplog.at_level(logging.WARNING, logger="lapgeo"):
-        for _ in range(2):
-            lg.estimate_all_distances(cfg, cloud, opt)
-        lg.estimate_distance(cfg, 0, 7, opt)
-    clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
-    assert len(clamps) == 3
+        for call in calls:
+            caplog.clear()
+            call()
+            clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+            assert len(clamps) == 1
