@@ -56,7 +56,6 @@ from .estimator import (
     DistanceRows,
     OptimizerConfig,
     dirac_squared,
-    estimate_all_distances,
     estimate_distance,
     estimate_distance_rows,
     grad_sup,

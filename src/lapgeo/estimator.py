@@ -19,7 +19,8 @@ modes, is the quadratically constrained program
     c = E_q[a] - E_q[b].
 
 A seedless primal-dual iteration solves it for many pairs in one batch, on
-the positive semidefinite parts of the G_i: a convex program whose feasible
+the positive semidefinite parts of the G_i, which each DiracConfig builds
+once (DiracConfig.gram_psd): a convex program whose feasible
 set lies inside the original one (Lagrangian duality for QCQPs, Boyd &
 Vandenberghe 2004, sec. 5; exponentiated gradient, Kivinen & Warmuth
 1997).  The all-pairs estimate solves landmark pairs, the landmarks by
@@ -36,20 +37,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EstimationFailedError, InputError
 from .laplacian import squared_distance_rows
 from .spectral import SpectralDecomposition
-from .types import (
-    DistanceMatrix,
-    PointCloud,
-    TruncationParams,
-    _adopt,
-    mirrored,
-    validate_candidate,
-)
+from .types import PointCloud, TruncationParams, validate_candidate
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +82,14 @@ class DiracConfig:
     @property
     def r(self) -> int:
         return self.trunc.r
+
+    @cached_property
+    def gram_psd(self) -> np.ndarray:
+        """_psd_parts(_dirac_gram(self)), read-only: the G+ of every solve
+        on this configuration, built and clipped on first use."""
+        gram = _psd_parts(_dirac_gram(self))
+        gram.setflags(write=False)
+        return gram
 
 
 @dataclass(frozen=True)
@@ -232,19 +235,28 @@ def _dirac_gram(cfg: DiracConfig) -> np.ndarray:
     return phi @ ((0.5 * lam[:, None] - half) * (phi.T @ prods))
 
 
+def _psd_parts(gram: np.ndarray) -> np.ndarray:
+    """The positive semidefinite parts G_i+ of the rows of gram, (n, q * q),
+    each G_i's eigenvalues clipped at zero.
+
+    Since v^T G_i v <= v^T G_i+ v, the feasible set of _solve_pairs shrinks
+    to a convex one inside the original, so every solution stays feasible,
+    and its dual is a convex program whose iteration converges.  On the
+    indefinite G_i themselves it did not: the weights oscillated, and a
+    1e-14 change of the eigenvectors (another BLAS thread count) moved
+    estimates by up to 1e-2."""
+    n, qq = gram.shape
+    q = int(np.sqrt(qq))
+    lam, vec = np.linalg.eigh(gram.reshape(n, q, q))
+    return ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.transpose(0, 2, 1)).reshape(n, qq)
+
+
 def _solve_pairs(
     gram: np.ndarray, c: np.ndarray, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Primal-dual solve of max c_l . v subject to v^T G_i v <= 1 at every
-    point i, for each row c_l of c, (L, q), with G = gram from _dirac_gram.
-
-    Each G_i is first replaced by its positive semidefinite part G_i+
-    (eigenvalues clipped at zero).  Since v^T G_i v <= v^T G_i+ v, the
-    feasible set shrinks to a convex one inside the original, so every
-    solution stays feasible, and the dual below is a convex program whose
-    iteration converges.  On the indefinite G_i themselves it did not: the
-    weights oscillated, and a 1e-14 change of the eigenvectors (another
-    BLAS thread count) moved estimates by up to 1e-2.
+    point i, for each row c_l of c, (L, q), given the positive semidefinite
+    parts gram = G+, (n, q * q), of _psd_parts (DiracConfig.gram_psd).
 
     Weights mu_l on the simplex start uniform.  Step t sets
     M_l = sum_i mu_li G_i+ and w_l = M_l^-1 c_l, scaled to max |w_l| = 1,
@@ -265,8 +277,6 @@ def _solve_pairs(
     """
     n = gram.shape[0]
     n_pairs, q = c.shape
-    lam, vec = np.linalg.eigh(gram.reshape(n, q, q))
-    gram = ((vec * np.maximum(lam, 0.0)[:, None, :]) @ vec.transpose(0, 2, 1)).reshape(n, q * q)
     value = np.full(n_pairs, DEGENERATE)
     cols = np.zeros((n_pairs, q))
     bound = np.full(n_pairs, np.inf)
@@ -339,7 +349,7 @@ def _solved_candidates(
     Returns their sample values f, (n, m), and gradient sups, (m,), keeping
     the m columns whose solve found a value and whose sup is at least
     GRAD_EPS; EstimationFailedError if none is left."""
-    value, cols, _ = _solve_pairs(_dirac_gram(cfg), c, steps)
+    value, cols, _ = _solve_pairs(cfg.gram_psd, c, steps)
     f_cols, d2_cols = _candidate_cols(cfg, cols[:, value != DEGENERATE])
     sups = _grad_sups(d2_cols)
     ok = sups >= GRAD_EPS
@@ -356,7 +366,7 @@ def estimate_distance(
     (_solved_candidates with opt.n_refine updates); 0 when E_q does not
     separate the two samples, EstimationFailedError when the solve gives no
     admissible candidate.  No chordal floor is applied, so unlike
-    estimate_all_distances the result can fall below the Euclidean
+    estimate_distance_rows the result can fall below the Euclidean
     distance between the two samples."""
     _check_pair(cfg, a, b)
     if a == b:
@@ -384,31 +394,20 @@ class DistanceRows:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def rows(self, a: int, b: int, start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows a..b, columns start..n of D, (b - a, n - start): in out,
-        which must hold zeros, or in a fresh array.  The chordal part is
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Rows a..b of D, (b - a, n), a fresh array.  The chordal part is
         squared_distance_rows; the floor takes one np.maximum per embedding
         column.  The maximum is exact and fl(x - y) = -fl(y - x), so every
-        entry has the same bits in whichever rows and columns it is
-        computed, and D is exactly symmetric."""
-        rows = slice(a, b)
-        if out is None:
-            out = np.zeros((b - a, self.n - start))
-        np.sqrt(squared_distance_rows(self.points, rows, start, out), out=out)
+        entry has the same bits in whichever rows it is computed, and D is
+        exactly symmetric: rows(0, n) is the whole matrix."""
+        out = np.zeros((b - a, self.n))
+        np.sqrt(squared_distance_rows(self.points, slice(a, b), 0, out), out=out)
         diff = np.empty_like(out)
         for col in self.embedding:
-            np.subtract(col[rows, None], col[None, start:], out=diff)
+            np.subtract(col[a:b, None], col[None, :], out=diff)
             np.abs(diff, out=diff)
             np.maximum(out, diff, out=out)
         return out
-
-
-def _matrix(source: DistanceRows) -> np.ndarray:
-    """The n x n matrix of a DistanceRows, by types.mirrored: each row
-    block's columns from its first row on, mirrored below the diagonal."""
-    return mirrored(
-        source.n, lambda rows, out: source.rows(rows.start, rows.stop, rows.start, out)
-    )
 
 
 def estimate_distance_rows(
@@ -434,15 +433,6 @@ def estimate_distance_rows(
     emb = (f_cols[first[same]] / sups).T.copy()
     emb.setflags(write=False)
     return DistanceRows(cloud.points, emb)
-
-
-def estimate_all_distances(
-    cfg: DiracConfig, cloud: PointCloud, opt: OptimizerConfig
-) -> DistanceMatrix:
-    """estimate_distance_rows as a DistanceMatrix: its one n x n array,
-    built after the solve by DistanceRows.rows over each row block's upper
-    part, then mirrored."""
-    return _adopt(DistanceMatrix, _matrix(estimate_distance_rows(cfg, cloud, opt)))
 
 
 def oracle_plugin_estimate(cfg: DiracConfig, coeffs, a: int, b: int) -> float:

@@ -28,7 +28,7 @@ from .types import (
     ManifoldConfig,
     PointCloud,
     _adopt,
-    mirrored,
+    row_blocks,
 )
 
 
@@ -52,14 +52,18 @@ def squared_distance_rows(
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, exactly symmetric.
 
-    squared_distance_rows in one n x n buffer by types.mirrored: each row
-    block sums its upper part and mirrors the rest below.  As
+    squared_distance_rows in one n x n buffer, one row block at a time:
+    each block sums its upper part and mirrors the rest below.  As
     fl(a - b) = -fl(b - a) and x - x = 0, it is symmetric, zero on the
     diagonal and for coincident points, and non-negative with no repair.
     The temporary is one block's difference, about BLOCK_ENTRIES entries."""
-    return mirrored(
-        len(points), lambda rows, out: squared_distance_rows(points, rows, rows.start, out)
-    )
+    n = len(points)
+    m = np.zeros((n, n))
+    for rows in row_blocks(n, n):
+        a, b = rows.start, rows.stop
+        block = squared_distance_rows(points, rows, a, m[rows, a:])
+        m[b:, rows] = block[:, b - a :].T
+    return m
 
 
 def gram_distances(cloud: PointCloud) -> DistanceMatrix:

@@ -5,8 +5,7 @@ exists is an instance that is valid.  Arrays are stored read-only; the
 types are safe to share between threads.  The public constructors copy
 what they are given; lapgeo's own builders hand over a fresh array through
 _adopt, which freezes it in place.  The n x n checks run over row blocks
-of about BLOCK_ENTRIES entries, so a check holds no n x n temporary, and
-mirrored() builds the symmetric n x n arrays over the same blocks.
+of about BLOCK_ENTRIES entries, so a check holds no n x n temporary.
 """
 
 from __future__ import annotations
@@ -34,22 +33,6 @@ def row_blocks(n: int, width: int):
     entries of a matrix with `width` columns (at least one row)."""
     step = max(1, BLOCK_ENTRIES // max(width, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-def mirrored(n: int, fill) -> np.ndarray:
-    """A fresh n x n array built one row block at a time, serially:
-    fill(rows, out) writes the entries of rows, from column
-    rows.start on, into out, given holding zeros, and the part right of the
-    block's diagonal block is copied, transposed, below it.  A block writes
-    only entries no earlier block wrote.  The result is symmetric wherever
-    fill's diagonal blocks are."""
-    m = np.zeros((n, n))
-    for rows in row_blocks(n, n):
-        a, b = rows.start, rows.stop
-        block = m[rows, a:]
-        fill(rows, block)
-        m[b:, rows] = block[:, b - a :].T
-    return m
 
 
 def _adopt(cls, matrix: np.ndarray):

@@ -50,8 +50,8 @@ class TestEstimateVerb:
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(2, 6))
         opt = lg.OptimizerConfig(seed=0)
-        expect = lg.estimate_all_distances(cfg, cloud, opt)
-        assert np.array_equal(load_distance_matrix(out).matrix, expect.matrix)
+        expect = lg.estimate_distance_rows(cfg, cloud, opt).rows(0, cloud.n)
+        assert np.array_equal(load_distance_matrix(out).matrix, expect)
 
     def test_partial_spectrum_matches_full_spectrum_library(self, tmp_path):
         # at n = 600, r = 12 the verb decomposes with the partial solver
@@ -67,8 +67,8 @@ class TestEstimateVerb:
         assert lg.eigendecompose(lap, 12).partial
         full = lg.eigendecompose(lap)
         cfg = lg.DiracConfig(full, lg.TruncationParams(4, 12))
-        expect = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=1))
-        assert np.max(np.abs(load_distance_matrix(out).matrix - expect.matrix)) <= 1e-10
+        expect = lg.estimate_distance_rows(cfg, cloud, lg.OptimizerConfig(seed=1)).rows(0, cloud.n)
+        assert np.max(np.abs(load_distance_matrix(out).matrix - expect)) <= 1e-10
 
     def test_output_bytes_match_csv_layout(self, tmp_path):
         pts = tmp_path / "pts.csv"
@@ -87,9 +87,9 @@ class TestEstimateVerb:
         assert text == csv_layout(load_distance_matrix(out).matrix)
 
     def _streams_the_library_matrix(self, tmp_path, points, h, q, r):
-        """lapgeo estimate on points writes exactly the CSV of
-        estimate_all_distances on the decomposition the verb computes; returns
-        the file's bytes."""
+        """lapgeo estimate on points writes exactly the CSV of the whole
+        estimate_distance_rows matrix on the decomposition the verb computes;
+        returns the file's bytes."""
         pts = tmp_path / "pts.csv"
         out = tmp_path / "dist.csv"
         pts.write_text("".join(",".join(format(x, ".17g") for x in p) + "\n" for p in points))
@@ -100,9 +100,9 @@ class TestEstimateVerb:
         cloud = lg.PointCloud(points)
         lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, h))
         cfg = lg.DiracConfig(lg.eigendecompose(lap, r), lg.TruncationParams(q, r))
-        expect = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
+        expect = lg.estimate_distance_rows(cfg, cloud, lg.OptimizerConfig()).rows(0, cloud.n)
         text = out.read_bytes()
-        assert text == csv_layout(expect.matrix)
+        assert text == csv_layout(expect)
         return text
 
     def test_streams_copies_as_zeros(self, tmp_path):

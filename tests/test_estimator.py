@@ -19,8 +19,8 @@ from lapgeo.estimator import (
     _dirac_gram,
     _grad_sups,
     _landmark_pairs,
-    _matrix,
     _objective_cols,
+    _psd_parts,
     _row_distances,
     _solve_pairs,
     dirac_squared,
@@ -28,7 +28,6 @@ from lapgeo.estimator import (
 )
 from lapgeo.laplacian import squared_distances
 from lapgeo.spectral import operator_from_modes
-from lapgeo.types import BLOCK_ENTRIES
 
 from conftest import grad_sup_spectral, random_decomposition
 
@@ -49,6 +48,11 @@ def _circle(n, seed, q, r):
     mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25)
     dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
     return lg.DiracConfig(dec, lg.TruncationParams(q=q, r=r)), cloud
+
+
+def _all_pairs(cfg, cloud, opt):
+    """The whole all-pairs estimate, n x n."""
+    return lg.estimate_distance_rows(cfg, cloud, opt).rows(0, cloud.n)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +149,24 @@ class TestDiracConfig:
     def test_rejects_r_beyond_the_held_modes(self, partial_decomposition):
         with pytest.raises(InputError, match="non-kernel modes held = 4, got r=5"):
             lg.DiracConfig(partial_decomposition, lg.TruncationParams(q=2, r=5))
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_gram_is_built_once_per_config(self, q):
+        # every solve on one configuration reads its one frozen G+: pairs
+        # estimated in either order on a shared config have the bits of
+        # each pair on a fresh one
+        cfg, _ = _circle(150, 6, q=q, r=20)
+        opt = lg.OptimizerConfig()
+        pairs = [(0, 75), (3, 149), (40, 41), (120, 9)]
+        fresh = [lg.estimate_distance(lg.DiracConfig(cfg.decomposition, cfg.trunc), a, b, opt)
+                 for a, b in pairs]
+        shared = lg.DiracConfig(cfg.decomposition, cfg.trunc)
+        forward = [lg.estimate_distance(shared, a, b, opt) for a, b in pairs]
+        backward = [lg.estimate_distance(shared, a, b, opt) for a, b in reversed(pairs)]
+        assert forward == fresh and backward[::-1] == fresh
+        gram = shared.gram_psd
+        assert gram is shared.gram_psd and not gram.flags.writeable
+        assert gram.tobytes() == _psd_parts(_dirac_gram(shared)).tobytes()
 
 
 class TestGradSup:
@@ -292,7 +314,7 @@ class TestEstimateDistance:
         basis_q = cfg.decomposition.leading(q)
         for a, b in ((0, 37), (5, 90), (61, 62), (119, 3)):
             c = (basis_q[a] - basis_q[b])[None, :]
-            _, cols, _ = _solve_pairs(_dirac_gram(cfg), c, opt.n_refine)
+            _, cols, _ = _solve_pairs(cfg.gram_psd, c, opt.n_refine)
             objective = float(_objective_cols(cfg, cols, a, b)[0])
             assert lg.estimate_distance(cfg, a, b, opt) == objective
 
@@ -313,11 +335,11 @@ class TestEstimateAllDistances:
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=6))
         opt = lg.OptimizerConfig(n_samples=100, n_refine=5, seed=0)
-        d = lg.estimate_all_distances(cfg, cloud, opt)
+        d = _all_pairs(cfg, cloud, opt)
         euclid = np.linalg.norm(
             cloud.points[:, None, :] - cloud.points[None, :, :], axis=2
         )
-        assert np.all(d.matrix >= euclid - 1e-12)
+        assert np.all(d >= euclid - 1e-12)
 
     def test_consistent_with_single_pair(self):
         cloud = lg.sample_uniform_circle(15, seed=8)
@@ -325,20 +347,20 @@ class TestEstimateAllDistances:
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=6))
         opt = lg.OptimizerConfig(n_samples=6, seed=3)
-        d = lg.estimate_all_distances(cfg, cloud, opt)
+        d = _all_pairs(cfg, cloud, opt)
         # a landmark pair's own column is in the embedding: the batched and
         # the single solve are the same iteration
         a, b = _landmark_pairs(dec.leading(2), cloud.points, opt.n_samples)
         for ai, bi in zip(a, b):
             single = lg.estimate_distance(cfg, ai, bi, opt)
-            assert d.matrix[ai, bi] >= single - 1e-9
+            assert d[ai, bi] >= single - 1e-9
 
     def test_exactly_symmetric(self):
         cloud = lg.sample_uniform_circle(200, seed=9)
         mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * 200 ** -0.25)
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=12))
-        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=4)).matrix
+        d = _all_pairs(cfg, cloud, lg.OptimizerConfig(seed=4))
         assert np.array_equal(d, d.T)
 
     def test_chebyshev_over_landmark_columns(self):
@@ -347,10 +369,10 @@ class TestEstimateAllDistances:
         dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg))
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=3, r=8))
         opt = lg.OptimizerConfig(n_samples=12, n_refine=30)
-        d = lg.estimate_all_distances(cfg, cloud, opt).matrix
+        d = _all_pairs(cfg, cloud, opt)
         basis_q = dec.leading(cfg.q)
         a, b = _landmark_pairs(basis_q, cloud.points, opt.n_samples)
-        value, cols, _ = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], 30)
+        value, cols, _ = _solve_pairs(cfg.gram_psd, basis_q[a] - basis_q[b], 30)
         assert np.all(value > 0)
         ref = lg.gram_distances(cloud).matrix.copy()
         for vhat in cols.T:
@@ -361,8 +383,8 @@ class TestEstimateAllDistances:
 
     def test_independent_of_seed(self):
         cfg, cloud = _circle(60, 3, q=4, r=12)
-        ref = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=0)).matrix
-        other = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig(seed=7)).matrix
+        ref = _all_pairs(cfg, cloud, lg.OptimizerConfig(seed=0))
+        other = _all_pairs(cfg, cloud, lg.OptimizerConfig(seed=7))
         assert np.array_equal(ref, other)
 
     def test_mean_error_falls_with_q(self, circle_1000):
@@ -374,7 +396,7 @@ class TestEstimateAllDistances:
         errs = []
         for q in (4, 8, 12):
             cfg = lg.DiracConfig(dec, lg.TruncationParams(q=q, r=20))
-            d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig()).matrix
+            d = _all_pairs(cfg, cloud, lg.OptimizerConfig())
             errs.append(float(np.abs(d - geo)[off].mean()))
         assert errs[1] <= 0.25
         assert errs[0] > errs[1] > errs[2]
@@ -390,8 +412,8 @@ class TestEstimateAllDistances:
             "mcfg = lg.ManifoldConfig(1, 2 * np.pi, 0.5 * n ** -0.25)\n"
             "dec = lg.eigendecompose(lg.build_laplacian(cloud, mcfg), 12)\n"
             "cfg = lg.DiracConfig(dec, lg.TruncationParams(q=4, r=12))\n"
-            "d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())\n"
-            "np.save(sys.argv[1], d.matrix)\n"
+            "d = lg.estimate_distance_rows(cfg, cloud, lg.OptimizerConfig()).rows(0, n)\n"
+            "np.save(sys.argv[1], d)\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         outs = []
@@ -409,7 +431,7 @@ class TestEstimateAllDistances:
         cloud = lg.PointCloud(np.array([[0.0, 0.0], [1.0, 0.0]]))
         opt = lg.OptimizerConfig(n_samples=40, n_refine=2, seed=0)
         with pytest.raises(EstimationFailedError):
-            lg.estimate_all_distances(cfg, cloud, opt)
+            lg.estimate_distance_rows(cfg, cloud, opt)
 
     @pytest.mark.parametrize("n", [1, 2, 15, 17, 53])
     def test_tiled_floor_matches_brute_force(self, n):
@@ -420,37 +442,16 @@ class TestEstimateAllDistances:
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         assert dist.tobytes() == brute.tobytes()
 
-    def test_floors_the_embedding_brute_force(self, monkeypatch):
+    def test_floors_the_embedding_brute_force(self):
         n = 53
         cfg, cloud = _circle(n, 12, q=4, r=12)
-        embeddings = []
-        rows = est.estimate_distance_rows
-
-        def spy(*args):
-            source = rows(*args)
-            embeddings.append(source.embedding.T.copy())
-            return source
-
-        monkeypatch.setattr(est, "estimate_distance_rows", spy)
-        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
-        (emb,) = embeddings
+        source = lg.estimate_distance_rows(cfg, cloud, lg.OptimizerConfig())
+        emb = source.embedding.T
         assert emb.shape == (n, 32)
         chordal = np.sqrt(squared_distances(cloud.points))
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         np.fill_diagonal(brute, 0.0)
-        assert np.array_equal(d.matrix, brute)
-
-    def test_independent_of_worker_count(self, monkeypatch):
-        cfg, cloud = _circle(150, 13, q=4, r=12)
-        opt = lg.OptimizerConfig(seed=3)
-        results = []
-        for cpus in ({0}, {0, 1, 2}, os.sched_getaffinity(0)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
-            results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
-        # platforms without sched_getaffinity (macOS, Windows) use cpu_count
-        monkeypatch.delattr(os, "sched_getaffinity")
-        results.append(lg.estimate_all_distances(cfg, cloud, opt).matrix)
-        assert all(np.array_equal(results[0], r) for r in results[1:])
+        assert np.array_equal(source.rows(0, n), brute)
 
 
 def test_landmark_rows_are_the_chordal_rows():
@@ -509,9 +510,10 @@ FLOOR_INPUTS = _floor_inputs()
 
 def _floor(points, emb):
     """(chordal, floored) for a cloud and its (n, m) embedding, the floored
-    matrix built as estimate_all_distances builds it."""
+    matrix being rows(0, n) of its DistanceRows."""
     chordal = np.sqrt(squared_distances(points))
-    return chordal, _matrix(est.DistanceRows(points, np.ascontiguousarray(emb.T)))
+    source = est.DistanceRows(points, np.ascontiguousarray(emb.T))
+    return chordal, source.rows(0, source.n)
 
 
 class TestChebyshevFloor:
@@ -534,16 +536,16 @@ class TestChebyshevFloor:
         "points, emb", [c[1:] for c in FLOOR_INPUTS], ids=[c[0] for c in FLOOR_INPUTS]
     )
     def test_any_window_of_rows_matches_brute_force(self, points, emb):
-        # the one row kernel: the writer's whole rows and the matrix's upper
-        # parts are windows of the same entries, bit for bit
+        # the one row kernel: the writer's chunks and the whole matrix are
+        # windows of the same entries, bit for bit
         chordal = np.sqrt(squared_distances(points))
         brute = np.maximum(chordal, np.abs(emb[:, None] - emb[None]).max(-1))
         source = est.DistanceRows(points, np.ascontiguousarray(emb.T))
         n = source.n
-        for a, b, start in {(0, n, 0), (0, 1, 0), (n // 3, n, n // 3), (n // 2, n, 0),
-                            (n - 1, n, n - 1), (n // 4, n // 2 + 1, n // 5)}:
-            rows = source.rows(a, b, start)
-            assert rows.tobytes() == brute[a:b, start:].tobytes()
+        for a, b in {(0, n), (0, 1), (n // 3, n), (n // 2, n), (n - 1, n),
+                     (n // 4, n // 2 + 1)}:
+            rows = source.rows(a, b)
+            assert rows.tobytes() == brute[a:b].tobytes()
 
     def test_floor_leaves_the_embedding_as_it_was(self):
         _, points, emb = FLOOR_INPUTS[-1]
@@ -553,30 +555,23 @@ class TestChebyshevFloor:
         est.DistanceRows(points, cols).rows(0, points.shape[0])
         assert cols.tobytes() == before.tobytes()
 
-    def test_peak_is_one_matrix_plus_the_embedding(self, monkeypatch):
-        # one worker, so one row block's difference buffer at a time
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        n = 600
-        cfg, cloud = _circle(n, 17, q=4, r=12)
-        widths = []
-        rows = est.estimate_distance_rows
-
-        def spy(*args):
-            source = rows(*args)
-            widths.append(source.embedding.shape[0])
-            return source
-
-        monkeypatch.setattr(est, "estimate_distance_rows", spy)
+    def test_estimate_builds_nothing_n_by_n(self):
+        # the all-pairs estimate is its encoding, the points and the
+        # embedding: what it allocates grows with n, not n^2
+        n, q = 600, 4
+        cfg, cloud = _circle(n, 17, q=q, r=12)
         tracemalloc.start()
         try:
-            lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig())
+            source = lg.estimate_distance_rows(cfg, cloud, lg.OptimizerConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        (m,) = widths
-        # the matrix, the embedding and one row block's scratch (of the
-        # chordal sum, then of the floor), with 256 kB for the rest
-        assert peak < 8 * (n * n + n * m + BLOCK_ENTRIES) + (256 << 10)
+        m = source.embedding.shape[0]
+        # four n x m arrays (the candidates' values and Dirac squares, the
+        # embedding), G and G+ (n q^2 each) and 256 kB for the rest; measured
+        # 0.63 MB, against 2.88 MB for one n x n matrix
+        bound = 8 * (4 * n * m + 2 * n * q * q) + (256 << 10)
+        assert peak < bound < 8 * n * n / 2
 
 
 class TestSolver:
@@ -597,7 +592,7 @@ class TestSolver:
         cfg, cloud = _circle(200, 22, q=q, r=20)
         basis_q = cfg.decomposition.leading(q)
         a, b = _landmark_pairs(basis_q, cloud.points, 32)
-        value, _, bound = _solve_pairs(_dirac_gram(cfg), basis_q[a] - basis_q[b], 100)
+        value, _, bound = _solve_pairs(cfg.gram_psd, basis_q[a] - basis_q[b], 100)
         assert np.all(np.isfinite(bound)) and np.all(value > 0)
         assert np.all(value <= bound * (1 + 1e-12))
 
@@ -616,19 +611,19 @@ class TestSolver:
             a, b = (int(i) for i in rng.choice(8, size=2, replace=False))
             brute = float(np.max(_objective_cols(cfg, grid_cols, a, b)))
             c = (basis_q[a] - basis_q[b])[None, :]
-            _, _, bound = _solve_pairs(_dirac_gram(cfg), c, 100)
+            _, _, bound = _solve_pairs(cfg.gram_psd, c, 100)
             assert bound[0] >= brute * (1 - 1e-12)
 
     def test_single_point_gives_no_column(self):
         # n = 1: the landmark is its own partner, c = 0
         a, b = _landmark_pairs(np.ones((1, 2)), np.zeros((1, 3)), 1)
         assert a.tolist() == b.tolist() == [0]
-        value, cols, bound = _solve_pairs(np.ones((1, 4)), np.zeros((1, 2)), 10)
+        value, cols, bound = _solve_pairs(_psd_parts(np.ones((1, 4))), np.zeros((1, 2)), 10)
         assert value[0] == DEGENERATE and not np.any(cols) and bound[0] == np.inf
 
     def test_failed_pairs_spare_the_batch(self):
         cfg, _ = _circle(80, 23, q=4, r=12)
-        gram = _dirac_gram(cfg)
+        gram = cfg.gram_psd
         basis_q = cfg.decomposition.leading(4)
         c = basis_q[[5, 7, 9]] - basis_q[[40, 7, 50]]  # the middle c is 0
         value, cols, bound = _solve_pairs(gram, c, 20)
@@ -638,10 +633,10 @@ class TestSolver:
             assert value[k] == pytest.approx(alone[0], rel=1e-12)
             assert bound[k] == pytest.approx(alone_bound[0], rel=1e-12)
         # M singular: every G_i zero, or PSD parts that share a null
-        # direction (the solve clips G_i = diag(1, -1) to diag(1, 0))
+        # direction (_psd_parts clips G_i = diag(1, -1) to diag(1, 0))
         shared_null = np.array([[1.0, 0.0, 0.0, -1.0], [2.0, 0.0, 0.0, 0.0]])
         for g in (np.zeros((3, 4)), shared_null):
-            value, cols, bound = _solve_pairs(g, np.eye(2), 5)
+            value, cols, bound = _solve_pairs(_psd_parts(g), np.eye(2), 5)
             assert np.all(value == DEGENERATE) and np.all(bound == np.inf)
             assert not np.any(cols)
 
@@ -657,7 +652,7 @@ class TestSolver:
             trunc, h = lg.TruncationParams(q=4, r=12), 0.2
         lap = lg.build_laplacian(cloud, lg.ManifoldConfig(1, 2 * np.pi, h))
         cfg = lg.DiracConfig(lg.eigendecompose(lap), trunc)
-        d = lg.estimate_all_distances(cfg, cloud, lg.OptimizerConfig()).matrix
+        d = _all_pairs(cfg, cloud, lg.OptimizerConfig())
         chordal = np.sqrt(squared_distances(cloud.points))
         assert np.all(np.isfinite(d)) and np.array_equal(d, d.T)
         assert np.all(d >= chordal) and not np.any(np.diag(d))
@@ -693,7 +688,7 @@ class TestOraclePlugin:
         plug = lg.oracle_plugin_estimate(circle_cfg, coeffs, 0, 9)
         basis_q = dec.leading(circle_cfg.q)
         c = (basis_q[0] - basis_q[9])[None, :]
-        _, _, bound = _solve_pairs(_dirac_gram(circle_cfg), c, 100)
+        _, _, bound = _solve_pairs(circle_cfg.gram_psd, c, 100)
         assert plug <= bound[0] * (1 + 1e-12)
 
 
@@ -724,8 +719,9 @@ def test_clamping_is_logged_once_per_estimate(caplog):
     opt = lg.OptimizerConfig(seed=0)
     vhat = np.array([0.4, 0.2, -0.1, 0.6])
     calls = [
-        lambda: lg.estimate_all_distances(cfg, cloud, opt),
-        lambda: lg.estimate_all_distances(cfg, cloud, opt),
+        # the second reuses the first's G+ and still scores once
+        lambda: lg.estimate_distance_rows(cfg, cloud, opt),
+        lambda: lg.estimate_distance_rows(cfg, cloud, opt),
         lambda: lg.estimate_distance(cfg, 0, 7, opt),
         lambda: lg.grad_sup(cfg, vhat),
         lambda: lg.objective(cfg, vhat, 0, 7),
