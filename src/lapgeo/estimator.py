@@ -210,10 +210,17 @@ def _check_pair(cfg: DiracConfig, a: int, b: int):
 def objective(cfg: DiracConfig, vhat, a: int, b: int) -> float:
     """|f(a) - f(b)| / grad_sup(f) for the candidate f = sum_k vhat_k e_k.
 
-    Scale-invariant in vhat.  Returns 0 when both numerator and gradient
-    vanish, DEGENERATE when only the gradient does.
+    vhat is any finite coefficient vector in the decomposition's leading
+    basis, e.g. the projection of a sampled target function onto it; the
+    candidate scored is vhat / max|vhat|, so the value does not depend on
+    the scale of vhat.  Returns 0 when both numerator and gradient vanish,
+    DEGENERATE when only the gradient does.
     """
     _check_pair(cfg, a, b)
+    vhat = np.asarray(vhat, dtype=float)
+    peak = np.max(np.abs(vhat), initial=0.0)
+    if 0.0 < peak < np.inf:
+        vhat = vhat / peak
     vhat = validate_candidate(vhat, cfg.q)
     return float(_objective_cols(cfg, vhat[:, None], a, b)[0])
 
@@ -369,8 +376,6 @@ def estimate_distance(
     estimate_distance_rows the result can fall below the Euclidean
     distance between the two samples."""
     _check_pair(cfg, a, b)
-    if a == b:
-        return 0.0
     basis_q = cfg.decomposition.leading(cfg.q)
     c = basis_q[a] - basis_q[b]
     if not np.any(c):
@@ -435,20 +440,5 @@ def estimate_distance_rows(
     return DistanceRows(cloud.points, emb)
 
 
-def oracle_plugin_estimate(cfg: DiracConfig, coeffs, a: int, b: int) -> float:
-    """Objective value of an externally supplied coefficient vector,
-    rescaled into the box by 1 / max|coeff| (the objective is
-    scale-invariant, so nothing is lost).
-
-    The coefficients must be expressed in the decomposition's leading
-    basis, e.g. the projection of a sampled target function onto it.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.shape != (cfg.q,):
-        raise InputError(f"coefficients must have shape ({cfg.q},), got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InputError("coefficients must be finite")
-    peak = np.max(np.abs(c), initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    return objective(cfg, c / peak, a, b)
+# objective under the name that scores a plug-in coefficient vector
+oracle_plugin_estimate = objective

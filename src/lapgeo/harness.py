@@ -1,11 +1,13 @@
 """Loss-experiment driver: sweep sample sizes, truncation specs and seeds
-on the circle, comparing the plug-in spectral estimate against the
-resolution-matched oracle distance for the first sample pair.
+on the circle, comparing the plug-in spectral estimate, objective() of the
+geodesic target's leading coefficients, against the resolution-matched
+oracle distance for the first sample pair.
 
 Replications run one after another, one (n, seed) cell at a time; each
-cell computes its eigendecomposition and geodesic target once and shares
-them across q-specs.  The adaptive q is whatever select_q returns; rows
-are ordered (n, q-spec, seed) and written once the sweep ends.
+cell computes its eigendecomposition (the kernel and r = dec.held modes)
+and geodesic target once and shares them across q-specs.  The adaptive q
+is whatever select_q returns; rows are ordered (n, q-spec, seed) and
+written once the sweep ends.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .circle import circle_geodesic, embed, q_resolved_distance, sample_circle_angles
 from .errors import InputError, NoAdmissibleQError
-from .estimator import DiracConfig, oracle_plugin_estimate
+from .estimator import DiracConfig, objective
 from .io import write_loss_csv
 from .laplacian import build_laplacian
 from .spectral import eigendecompose, select_q
@@ -135,7 +137,7 @@ def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
     thetas = sample_circle_angles(n, seed)
     cloud = embed(thetas)
     dec = eigendecompose(build_laplacian(cloud, cfg.manifold_for(n)), cfg.r_for(n))
-    r = min(cfg.r_for(n), dec.held)
+    r = dec.held
     target = circle_geodesic(thetas[0], thetas)
     rows = []
     for q_spec in cfg.q_values:
@@ -157,7 +159,7 @@ def _run_cell(cfg: ExperimentConfig, n: int, seed: int):
             q_used = min(q_spec, r)
         dirac = DiracConfig(dec, TruncationParams(q_used, r))
         coeffs = dec.leading(q_used).T @ target
-        estimate = oracle_plugin_estimate(dirac, coeffs, 0, 1)
+        estimate = objective(dirac, coeffs, 0, 1)
         oracle = q_resolved_distance(thetas[0], thetas[1], q_used)
         row["q_used"] = q_used
         if not np.isfinite(estimate):

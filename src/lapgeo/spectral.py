@@ -9,8 +9,10 @@ columns in the same order, each flipped so its first coordinate of
 magnitude > 1e-12 is positive; inside a kernel of dimension > 1 their order
 is unspecified.
 
-eigendecompose(operator, r) may hold only the kernel and the first r
-non-kernel modes.  It finds them by Chebyshev-filtered subspace iteration
+eigendecompose(operator) holds every mode; eigendecompose(operator, r)
+holds the kernel and the first min(r, rank) non-kernel modes, whichever
+solver runs, counting as kernel the eigenvalues within ZERO_REL * rho of
+zero.  With r, they come from Chebyshev-filtered subspace iteration
 (Zhou & Saad 2007): a counter-based Gaussian block (_start_block) of
 r + kernel + GUARD columns is filtered by a Chebyshev polynomial that
 damps [-rho, c], where rho bounds the spectral radius and c is the
@@ -24,8 +26,8 @@ Gershgorin bound otherwise; for a raw array it is the largest absolute row
 sum.  The first sweep's filter has degree DEGREE; each later one only the
 degree its growth above c needs to bring the slowest wanted column's
 residual to the tolerance, and at most DEGREE.  Where the block is not much
-smaller than n the dense solver is faster and runs instead, holding every
-mode.
+smaller than n the dense solver is faster and runs instead, and keeps the
+same leading columns.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ STALL_REL = 1e-3
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """The kernel and the leading non-kernel modes of a symmetric NSD
-    operator: every mode (a full spectrum), or the first r of them.
+    operator: every mode (a full spectrum), or the first min(r, rank) of
+    them for eigendecompose(operator, r).
 
     eigenvalues: (m,) non-positive, kernel zeros first, then non-increasing.
     eigenvectors: (n, m) orthonormal columns in matching order.
@@ -147,35 +150,33 @@ def eigendecompose(operator, r: int | None = None) -> SpectralDecomposition:
     Raw arrays let analytic model operators that are not finite-sample
     Laplacians (no zero-row-sum structure) share the same code path.
 
-    With r given, the result holds the kernel and the first r non-kernel
-    modes, from the partial solver; where that solver does not apply
-    (block not much smaller than n, no convergence within the sweep cap) the
-    dense solver runs and the result holds every mode, as with r = None.
+    With r given, the result holds the kernel and the first min(r, rank)
+    non-kernel modes, from the partial solver; where that solver does not
+    apply (block not much smaller than n, no convergence within the sweep
+    cap) the dense solver runs and the result is the leading columns of
+    eigendecompose(operator), bit for bit.
     """
     if isinstance(operator, GraphLaplacian):
-        a = operator.matrix
+        a, rho = operator.matrix, operator.radius
     else:
         a = np.asarray(operator, dtype=float)
         _check_symmetric(a, "operator")
+        rho = float(np.max(np.abs(a).sum(axis=1), initial=0.0))
     if r is not None:
         if r < 1:
             raise InputError(f"need r >= 1, got r={r}")
-        if isinstance(operator, GraphLaplacian):
-            rho = operator.radius
-        else:
-            rho = np.max(np.abs(a).sum(axis=1), initial=0.0)
-        dec = _partial(a, r, float(rho))
+        dec = _partial(a, r, rho)
         if dec is not None:
             return dec
     try:
         w, v = np.linalg.eigh(a)  # ascending: most negative first
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    radius = np.max(np.abs(w)) if w.size else 0.0
-    _check_nsd(w[-1] if w.size else 0.0, radius)
-    kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_REL * radius))
+    _check_nsd(w[-1] if w.size else 0.0, rho)
+    kernel_dim = int(np.count_nonzero(np.abs(w) <= ZERO_REL * rho))
+    m = None if r is None else kernel_dim + r
     # NSD: the kernel tops the ascending w, so it leads
-    return _freeze(w[::-1], v[:, ::-1], kernel_dim)
+    return _freeze(w[::-1][:m], v[:, ::-1][:, :m], kernel_dim)
 
 
 def _check_nsd(top: float, radius: float) -> None:

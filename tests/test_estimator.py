@@ -241,6 +241,19 @@ class TestObjective:
                 base, rel=1e-9
             )
 
+    def test_scale_free_down_to_tiny_coefficients(self, circle_cfg):
+        # the objective scores v / max|v|, so no absolute threshold reads
+        # the raw coefficients: 1e-13 v and 3 v (outside the box) are v
+        v = np.array([0.5, -0.3, 0.8])
+        base = lg.objective(circle_cfg, v, 0, 12)
+        assert base > 0.9
+        assert lg.objective(circle_cfg, 2.0**-60 * v, 0, 12) == base
+        for c in (1e-13, 3.0):
+            assert lg.objective(circle_cfg, c * v, 0, 12) == pytest.approx(base, rel=1e-12)
+
+    def test_plugin_name_is_the_objective(self):
+        assert lg.oracle_plugin_estimate is lg.objective
+
     def test_degenerate_sentinel(self):
         # an isolated near-zero eigenvalue: the candidate separates the two
         # points but carries no usable gradient

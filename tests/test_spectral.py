@@ -155,14 +155,39 @@ class TestPartialEigendecompose:
         assert abs(wide.var() - 1.0) < 5.0 * np.sqrt(2.0 / wide.size)
         assert np.all(np.isfinite(wide))
 
+    @staticmethod
+    def _assert_leading_columns(dec, full, r):
+        """dec holds the kernel and r modes: the leading columns of the
+        full decomposition, bit for bit."""
+        m = full.kernel_dim + r
+        assert dec.held == r and dec.kernel_dim == full.kernel_dim
+        assert dec.eigenvalues.tobytes() == full.eigenvalues[:m].tobytes()
+        assert dec.eigenvectors.tobytes() == full.eigenvectors[:, :m].copy().tobytes()
+
     def test_dense_below_crossover(self):
         # the loss sweep's largest cell: n = 400 with r = 20 stays on eigh
         op = circle_laplacian(400)
         assert spectral.CROSSOVER * (20 + 1 + spectral.GUARD) > 400
-        dec, full = lg.eigendecompose(op, 20), lg.eigendecompose(op)
+        self._assert_leading_columns(lg.eigendecompose(op, 20), lg.eigendecompose(op), 20)
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_held_modes_do_not_depend_on_the_solver(self, n):
+        # n = 400 runs eigh, n = 1000 the partial solver: both hold the
+        # kernel and 20 modes, so r = 30 and the full-spectrum
+        # dirac_squared are rejected at both sizes
+        dec = lg.eigendecompose(circle_laplacian(n), 20)
+        assert dec.held == 20 and dec.partial
+        with pytest.raises(InputError, match="non-kernel modes held = 20, got r=30"):
+            lg.DiracConfig(dec, lg.TruncationParams(4, 30))
+        cfg = lg.DiracConfig(dec, lg.TruncationParams(4, 20))
+        with pytest.raises(InputError, match="needs every mode"):
+            lg.dirac_squared(cfg, np.ones(n))
+
+    def test_r_above_the_rank_holds_every_mode(self):
+        full = lg.eigendecompose(circle_laplacian(30))
+        dec = lg.eigendecompose(circle_laplacian(30), 40)
         assert not dec.partial
-        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
-        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+        self._assert_leading_columns(dec, full, full.rank)
 
     def test_kernel_filling_the_block_restarts_it(self):
         # 25 far-apart clusters: the kernel fills the first two blocks
@@ -179,11 +204,7 @@ class TestPartialEigendecompose:
         op = circle_laplacian(600)
         # a cap of one sweep: 600 // (46 * 13 block columns)
         monkeypatch.setattr(spectral, "SWEEP_COST", 46)
-        dec = lg.eigendecompose(op, 4)
-        full = lg.eigendecompose(op)
-        assert not dec.partial
-        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
-        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+        self._assert_leading_columns(lg.eigendecompose(op, 4), lg.eigendecompose(op), 4)
 
     @staticmethod
     def _count_filters(monkeypatch):
@@ -258,6 +279,21 @@ class TestPartialEigendecompose:
         dense_kernel = dense.kernel()
         assert np.max(np.abs(kernel @ kernel.T - dense_kernel @ dense_kernel.T)) <= 1e-10
 
+    def test_one_kernel_scale_with_and_without_r(self):
+        # two unit-weight K_300 joined by one light edge: lambda_2 = -3.37e-7
+        # lies above ZERO_REL * rho (rho = 598) but below ZERO_REL * 300,
+        # the spectral radius; both solvers read it on the scale rho
+        n, bridge = 300, 5.0625e-5
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, :n] = m[n:, n:] = 1.0
+        m[0, n] = m[n, 0] = bridge
+        np.fill_diagonal(m, 0.0)
+        np.fill_diagonal(m, -m.sum(axis=1))
+        lap = lg.GraphLaplacian(m)
+        lam2 = np.linalg.eigvalsh(m)[-2]
+        assert spectral.ZERO_REL * 300 < -lam2 <= spectral.ZERO_REL * lap.radius
+        assert lg.eigendecompose(lap).kernel_dim == lg.eigendecompose(lap, 4).kernel_dim == 2
+
     def test_no_warning_from_degree_sizing(self):
         # converged columns (excess below 1) and a wanted value at c (x = 1)
         # must not reach arccosh or a division by zero
@@ -280,10 +316,7 @@ class TestPartialEigendecompose:
         dec = lg.eigendecompose(op, 30)
         assert calls == [39] * (1000 // (spectral.SWEEP_COST * 39))
         assert len(calls) >= 1
-        full = lg.eigendecompose(op)
-        assert not dec.partial
-        assert np.array_equal(dec.eigenvalues, full.eigenvalues)
-        assert np.array_equal(dec.eigenvectors, full.eigenvectors)
+        self._assert_leading_columns(dec, lg.eigendecompose(op), 30)
 
     def test_rejects_r_below_one(self):
         with pytest.raises(InputError, match="r=0"):
