@@ -35,15 +35,6 @@ class NeighborGraph:
 
     adjacency: csr_matrix
 
-    def edge_list(self):
-        """Sorted [(i, j, weight)] with i < j, one entry per edge."""
-        coo = self.adjacency.tocoo()
-        return sorted(
-            (int(i), int(j), float(w))
-            for i, j, w in zip(coo.row, coo.col, coo.data, strict=True)
-            if i < j
-        )
-
 
 def check_radius(h_graph: float) -> None:
     """Reject an edge radius that is negative or NaN."""

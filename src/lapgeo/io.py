@@ -22,6 +22,7 @@ import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +38,9 @@ def _parse_row(row, row_number: int):
 
 
 def load_point_cloud(path) -> PointCloud:
-    """Read a point cloud CSV, auto-detecting an optional header row."""
+    """Read a point cloud CSV, auto-detecting an optional header row.  A
+    file with no data row (empty, or a header alone) is an InputError
+    naming the path."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -51,11 +54,13 @@ def load_point_cloud(path) -> PointCloud:
         except InputError:
             if k:  # only the first non-empty row may be a header
                 raise
-    width = len(next(iter(rows.values()), []))
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    width = len(next(iter(rows.values())))
     for line, r in rows.items():
         if len(r) != width:
             raise InputError(f"row {line}: expected {width} columns, got {len(r)}")
-    return PointCloud(list(rows.values()))  # rejects an empty cloud and non-finite values
+    return PointCloud(list(rows.values()))  # rejects non-finite values
 
 
 # 10**k for k = 0..22, every one an exact double, with its Veltkamp split
@@ -83,14 +88,18 @@ def _scaled(x, k):
     return p, ((xh * ph - p) + xh * pl + xl * ph) + xl * pl
 
 
+@cache
 def _digit_tables():
     """For g in 0..9999: its four ASCII digits as one little-endian uint32,
-    and how many of them precede its trailing zeros (-100 for g = 0)."""
+    and how many of them precede its trailing zeros (-100 for g = 0); built
+    on first use, read-only."""
     g = np.arange(10000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
     chars = (digits + ord("0")).astype(np.uint8).view("<u4").ravel()
     trailing = (digits[:, ::-1] != 0).argmax(axis=1)
     kept = np.where(g == 0, -100, 4 - trailing).astype(np.int8)
+    chars.setflags(write=False)
+    kept.setflags(write=False)
     return chars, kept
 
 
@@ -119,9 +128,10 @@ def _decimal(x):
     return X.astype(np.int8), N
 
 
-def _digits(N, chars, kept):
+def _digits(N):
     """The 17 ASCII digits of each N, one row each, and how many of them
     are significant: up to the last nonzero one."""
+    chars, kept = _digit_tables()
     # // by a scalar divides by multiplication (numpy's libdivide), which
     # np.divmod does not; each remainder is a multiply-subtract
     hi = N // 10**8
@@ -172,7 +182,7 @@ def _layout(X, D, sig):
     return text, length
 
 
-def _format_block(source, a, b, chars, kept):
+def _format_block(source, a, b):
     """The CSV bytes of rows a..b of a row source."""
     v = source.rows(a, b)
     n = v.shape[1]
@@ -183,7 +193,7 @@ def _format_block(source, a, b, chars, kept):
     # laid out sorted by exponent, so that each exponent's layout is a few
     # slice copies over one run of rows, then put back in place
     order = np.argsort(X, kind="stable")
-    D, sig = _digits(N[order], chars, kept)
+    D, sig = _digits(N[order])
     # scratch is dropped once spent, so the text, the mask and the output
     # are the largest arrays alive at once: about 90 bytes per entry
     del N
@@ -252,13 +262,12 @@ def save_distance_matrix(path, dist) -> None:
     """
     n = dist.n
     step = max(1, _BLOCK // max(n, 1))
-    chars, kept = _digit_tables()
     workers = worker_count()
     try:
         with open(path, "wb") as fh, ThreadPoolExecutor(workers) as pool:
             pending = deque()
             for a in range(0, n, step):
-                pending.append(pool.submit(_format_block, dist, a, min(a + step, n), chars, kept))
+                pending.append(pool.submit(_format_block, dist, a, min(a + step, n)))
                 if len(pending) > workers:
                     fh.write(pending.popleft().result())
             while pending:

@@ -59,7 +59,7 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     The temporary is one block's difference, about BLOCK_ENTRIES entries."""
     n = len(points)
     m = np.zeros((n, n))
-    for rows in row_blocks(n, n):
+    for rows in row_blocks(n):
         a, b = rows.start, rows.stop
         block = squared_distance_rows(points, rows, a, m[rows, a:])
         m[b:, rows] = block[:, b - a :].T

@@ -122,10 +122,6 @@ class SpectralDecomposition:
         """lambda_1 >= lambda_2 >= ... (all < 0); truncation indices q, r count from 1 here."""
         return self.eigenvalues[self.kernel_dim:]
 
-    def kernel(self) -> np.ndarray:
-        """Orthonormal basis of the zero eigenspace, (n, kernel_dim)."""
-        return self.eigenvectors[:, : self.kernel_dim]
-
     def leading(self, r: int) -> np.ndarray:
         """First r non-kernel eigenvectors e_1..e_r as columns, (n, r)."""
         self.check_r(r)
@@ -368,13 +364,17 @@ class SpectralError:
     r: int
 
 
-def _group_by_gaps(values: np.ndarray, rel: float = 1e-6):
+# Relative gap up to which consecutive reference eigenvalues are one eigenspace.
+GAP_REL = 1e-6
+
+
+def _group_by_gaps(values: np.ndarray):
     """Split indices 0..len-1 into runs whose consecutive eigenvalues differ
-    by less than rel (relative): eigenspaces of multiplicity > 1."""
+    by at most GAP_REL (relative): eigenspaces of multiplicity > 1."""
     groups = [[0]]
     for i in range(1, len(values)):
         prev = values[i - 1]
-        if abs(values[i] - prev) <= rel * max(abs(values[i]), abs(prev), 1.0):
+        if abs(values[i] - prev) <= GAP_REL * max(abs(values[i]), abs(prev), 1.0):
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -390,7 +390,7 @@ def spectral_error(
     """max over i <= r of max(|lambda_hat_i - lambda_i|, sup-norm eigenvector
     deviation), after aligning within reference eigenspaces.
 
-    Within each reference eigenspace (grouped by relative gaps < 1e-6) the
+    Within each reference eigenspace (grouped by relative gaps <= GAP_REL) the
     computed eigenvectors are rescaled to the reference column norm and
     rotated onto the reference by orthogonal Procrustes: multiplicity > 1
     leaves individual eigenvectors defined only up to rotation, and the

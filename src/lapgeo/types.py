@@ -28,10 +28,10 @@ def _frozen_array(a) -> np.ndarray:
     return out
 
 
-def row_blocks(n: int, width: int):
+def row_blocks(n: int):
     """Slices of 0..n covering it in order, each of about BLOCK_ENTRIES
-    entries of a matrix with `width` columns (at least one row)."""
-    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    entries of an n x n matrix (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -78,10 +78,6 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.points.shape[1]
 
 
 _VECTOR_ROWS = "each point must be a vector of coordinates (rows of length 1 for one coordinate)"
@@ -143,7 +139,7 @@ class GraphLaplacian:
     @staticmethod
     def _check(m: np.ndarray) -> None:
         scale = _check_symmetric(m, "Laplacian")
-        faults = [_row_faults(m, rows, scale) for rows in row_blocks(*m.shape)]
+        faults = [_row_faults(m, rows, scale) for rows in row_blocks(len(m))]
         if any(sums for sums, _ in faults):
             raise InputError("Laplacian rows must sum to zero (1e-9 relative)")
         if any(discs for _, discs in faults):
@@ -173,7 +169,7 @@ def _check_symmetric(m: np.ndarray, name: str) -> float:
     symmetry gap is taken, so NaN and inf raise before numpy can warn."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"{name} must be square, got shape {m.shape}")
-    blocks = row_blocks(*m.shape)
+    blocks = row_blocks(len(m))
     # np.max propagates NaN, so one test covers NaN and inf entries
     scale = np.max([np.max(np.abs(m[rows])) for rows in blocks], initial=0.0)
     if not np.isfinite(scale):
@@ -221,7 +217,7 @@ class DistanceMatrix:
     def _check(m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {m.shape}")
-        blocks = row_blocks(*m.shape)
+        blocks = row_blocks(len(m))
         nan = negative = False
         scale = 0.0
         for rows in blocks:

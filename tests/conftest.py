@@ -73,7 +73,7 @@ def grad_sup_spectral(cfg, vhat):
     basis_q = dec.leading(cfg.q)
     lam_q = dec.nonzero_eigenvalues[: cfg.q]
     # projection basis: kernel plus leading r, with their eigenvalues
-    proj = np.hstack([dec.kernel(), dec.leading(cfg.r)])
+    proj = np.hstack([dec.eigenvectors[:, :dec.kernel_dim], dec.leading(cfg.r)])
     lam_proj = np.concatenate(
         [np.zeros(dec.kernel_dim), dec.nonzero_eigenvalues[: cfg.r]]
     )

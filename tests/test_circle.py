@@ -57,8 +57,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 400, 2000])
     def test_stream_is_numpys_default_rng(self, n):
-        # SeedSequence, PCG64 and uniform, reproduced bit for bit
-        for seed in [*range(64), 2**32 + 5, 2**64 + 1, 10**30, np.int64(7)]:
+        # SeedSequence, PCG64 and uniform, reproduced bit for bit; seeds
+        # from 2**128 on have more than four 32-bit words to hash
+        for seed in [*range(64), 2**32 + 5, 2**64 + 1, 10**30, 2**128, 2**130 + 7, 3**150,
+                     np.int64(7)]:
             expect = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
             assert lg.sample_circle_angles(n, seed).tobytes() == expect.tobytes(), seed
 
@@ -87,6 +89,16 @@ class TestSampling:
     def test_equally_spaced(self):
         t = equally_spaced_angles(4)
         assert np.allclose(t, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-15)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: equally_spaced_angles(0), "need n >= 1, got 0"),
+    (lambda: lg.analytic_eigenbasis([0.0, 1.0], 0), "need count >= 1, got 0"),
+    (lambda: distance_fourier_coeffs(0.5, 0), "need q >= 1, got 0"),
+], ids=["equally_spaced_angles", "analytic_eigenbasis", "distance_fourier_coeffs"])
+def test_zero_count_is_input_error(call, message):
+    with pytest.raises(lg.InputError, match=message):
+        call()
 
 
 class TestAnalyticEigenbasis:

@@ -130,7 +130,7 @@ class TestDiracSquared:
         assert dec.kernel_dim == 2
         r = 6
         cfg = lg.DiracConfig(dec, lg.TruncationParams(q=2, r=r))
-        proj = np.hstack([dec.kernel(), dec.leading(r)])
+        proj = np.hstack([dec.eigenvectors[:, :dec.kernel_dim], dec.leading(r)])
         for v in (rng.normal(size=120), dec.leading(3) @ rng.uniform(-1, 1, 3)):
             lv = lap.matrix @ v
             expected = 0.5 * lap.matrix @ (proj @ (proj.T @ (v * v))) - proj @ (
@@ -138,6 +138,41 @@ class TestDiracSquared:
             )
             got = dirac_squared(cfg, v)
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestInputChecks:
+    """Each public entry point rejects bad input with an InputError that
+    says what is wrong."""
+
+    def test_negative_refine_steps(self):
+        with pytest.raises(InputError, match="n_refine must be >= 0, got -1"):
+            lg.OptimizerConfig(n_refine=-1)
+
+    def test_dirac_squared_rejects_a_wrong_shape(self, circle_cfg):
+        for v in (np.zeros(29), np.zeros((30, 1))):
+            with pytest.raises(InputError, match=r"v must have shape \(30,\)"):
+                lg.dirac_squared(circle_cfg, v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_dirac_squared_rejects_non_finite_values(self, circle_cfg, bad):
+        v = np.zeros(30)
+        v[7] = bad
+        with pytest.raises(InputError, match="v must be finite"):
+            lg.dirac_squared(circle_cfg, v)
+
+    @pytest.mark.parametrize("a, b, idx", [(0, 30, 30), (-1, 3, -1)])
+    def test_pair_index_out_of_range(self, circle_cfg, a, b, idx):
+        message = rf"point index {idx} out of range 0\.\.29"
+        with pytest.raises(InputError, match=message):
+            lg.objective(circle_cfg, [0.5, -0.3, 0.8], a, b)
+        with pytest.raises(InputError, match=message):
+            lg.estimate_distance(circle_cfg, a, b, lg.OptimizerConfig())
+
+    def test_rows_need_the_decomposition_size(self, circle_cfg):
+        cloud = lg.sample_uniform_circle(31, seed=5)
+        message = "cloud has 31 points but decomposition is 30-dimensional"
+        with pytest.raises(InputError, match=message):
+            lg.estimate_distance_rows(circle_cfg, cloud, lg.OptimizerConfig())
 
 
 class TestDiracConfig:

@@ -5,6 +5,7 @@ import pytest
 
 import lapgeo as lg
 from lapgeo.errors import InputError
+from lapgeo.estimator import DEGENERATE
 from lapgeo.harness import ADAPTIVE
 
 
@@ -67,6 +68,24 @@ class TestExperimentConfig:
     )
     def test_rejects_malformed_fields(self, field):
         with pytest.raises(InputError):
+            _cfg(**field)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"n_values": (3, 10)}, "n_values entries must be at least 4"),
+            ({"q_values": ()}, "q_values must be a non-empty list"),
+            ({"r_rule": 1.5}, r"fractional r_rule must be in \(0, 1\)"),
+            ({"r_rule": 0.0}, r"fractional r_rule must be in \(0, 1\)"),
+            ({"r_rule": 0}, "fixed r_rule must be >= 1"),
+            ({"n_values": (10, 20), "bandwidth_rule": [0.3]},
+             "explicit bandwidth list must match n_values in length"),
+        ],
+        ids=["small-n", "no-q", "r-fraction-above", "r-fraction-zero", "r-fixed-zero",
+             "short-bandwidths"],
+    )
+    def test_rejects_out_of_range_fields(self, field, message):
+        with pytest.raises(InputError, match=message):
             _cfg(**field)
 
     def test_overflowing_bandwidth_rejected_before_any_cell(self, monkeypatch):
@@ -132,6 +151,23 @@ class TestRunLossExperiment:
         assert rows[0]["q_spec"] == 10
         assert rows[0]["q_used"] == 8  # r capped at n - 2
         assert rows[0]["status"] == "ok"
+
+    def test_degenerate_row_is_left_out_of_the_mean(self, monkeypatch):
+        # the first cell's objective is degenerate, the others are scored
+        calls = []
+
+        def objective(*args):
+            calls.append(args)
+            return DEGENERATE if len(calls) == 1 else lg.objective(*args)
+
+        monkeypatch.setattr("lapgeo.harness.objective", objective)
+        rows = lg.run_loss_experiment(_cfg(n_seeds=3))
+        data, mean = rows[:3], rows[3]
+        assert data[0]["status"] == "degenerate" and data[0]["q_used"] == 5
+        assert math.isnan(data[0]["estimate"]) and math.isnan(data[0]["loss"])
+        assert [r["status"] for r in data[1:]] == ["ok", "ok"]
+        assert mean["status"] == "mean-of-2"
+        assert mean["loss"] == np.mean([r["loss"] for r in data[1:]])
 
     def test_adaptive_can_fail_without_killing_the_run(self):
         # r = 2 pits the near-degenerate leading pair against itself; this

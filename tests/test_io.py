@@ -79,7 +79,7 @@ def test_load_point_cloud_rejects_empty(tmp_path):
     p = tmp_path / "pts.csv"
     for text in ["", "x,y\n"]:  # no rows, a header alone
         p.write_text(text)
-        with pytest.raises(InputError, match="non-empty"):
+        with pytest.raises(InputError, match=re.escape(f"{p}: no data rows")):
             lg.load_point_cloud(p)
 
 
@@ -193,9 +193,9 @@ def test_distance_matrix_layout_one_row_per_chunk(tmp_path, monkeypatch):
     chunks = []
     format_block = lapgeo_io._format_block
 
-    def spy(source, a, b, chars, kept):
+    def spy(source, a, b):
         chunks.append((a, b))
-        return format_block(source, a, b, chars, kept)
+        return format_block(source, a, b)
 
     monkeypatch.setattr(lapgeo_io, "_format_block", spy)
     m = _random_matrix(n)
@@ -223,7 +223,7 @@ def test_digits_match_the_divmod_arithmetic():
     rng = np.random.default_rng(0)
     N = np.concatenate([rng.integers(10**16, 10**17, size=200_000),
                         [10**16, 10**17 - 1]]).astype(np.int64)
-    rows, sig = _digits(N, chars, kept)
+    rows, sig = _digits(N)
     ref_rows, ref_sig = _divmod_digits(N, chars, kept)
     assert np.array_equal(rows, ref_rows) and np.array_equal(sig, ref_sig)
     assert rows[-2].tobytes() == b"10000000000000000" and sig[-2] == 1
@@ -253,11 +253,10 @@ def test_format_block_scratch_per_entry():
     n = 128
     rng = np.random.default_rng(5)
     d = lg.DistanceMatrix(np.sqrt(squared_distances(rng.normal(size=(n, 2)))))
-    chars, kept = _digit_tables()
-    expected = _format_block(d, 0, n, chars, kept)
+    expected = _format_block(d, 0, n)
     tracemalloc.start()
     try:
-        out = _format_block(d, 0, n, chars, kept)
+        out = _format_block(d, 0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

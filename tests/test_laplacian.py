@@ -226,18 +226,17 @@ class TestRowBlocks:
             monkeypatch.setattr(types, "BLOCK_ENTRIES", entries)
         for name, pts in self._clouds():
             if entries is None and name == "n=700":
-                assert len(types.row_blocks(700, 700)) == 3
+                assert len(types.row_blocks(700)) == 3
             got = squared_distances(pts)
             assert got.tobytes() == difference_squared_distances(pts).tobytes(), name
 
     def test_row_blocks_cover_in_order(self):
-        for n, width in [(0, 0), (1, 1), (5, 3), (700, 700), (443, 443), (444, 444)]:
-            blocks = types.row_blocks(n, width)
+        for n in [0, 1, 5, 700, 443, 444]:
+            blocks = types.row_blocks(n)
             assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
-            assert all((b.stop - b.start) * width <= max(types.BLOCK_ENTRIES, width)
-                       for b in blocks)
+            assert all((b.stop - b.start) * n <= max(types.BLOCK_ENTRIES, n) for b in blocks)
         # the loss sweep's largest matrix is one block
-        assert len(types.row_blocks(400, 400)) == 1
+        assert len(types.row_blocks(400)) == 1
 
     def test_builders_adopt_their_array(self):
         cloud = lg.sample_uniform_circle(50, seed=2)

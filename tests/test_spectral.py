@@ -88,7 +88,7 @@ class TestEigendecompose:
         assert np.all(np.diff(dec.eigenvalues[2:]) <= 0.0)
         indicators = np.zeros((40, 2))
         indicators[:20, 0] = indicators[20:, 1] = 1.0 / np.sqrt(20)
-        kernel = dec.kernel()
+        kernel = dec.eigenvectors[:, :dec.kernel_dim]
         assert np.max(np.abs(kernel @ kernel.T - indicators @ indicators.T)) <= 1e-12
 
     def test_near_zero_snapped_exactly(self):
@@ -275,8 +275,8 @@ class TestPartialEigendecompose:
         assert part.partial
         assert part.kernel_dim == dense.kernel_dim == 2
         assert np.max(np.abs(part.eigenvalues - dense.eigenvalues[:6])) <= 1e-12 * op.radius
-        kernel = part.kernel()
-        dense_kernel = dense.kernel()
+        kernel = part.eigenvectors[:, :part.kernel_dim]
+        dense_kernel = dense.eigenvectors[:, :dense.kernel_dim]
         assert np.max(np.abs(kernel @ kernel.T - dense_kernel @ dense_kernel.T)) <= 1e-10
 
     def test_one_kernel_scale_with_and_without_r(self):
@@ -487,6 +487,15 @@ class TestSpectralError:
         err = lg.spectral_error(dec, dec.nonzero_eigenvalues[:2], ref_vecs, 2)
         assert err.value > 0.1
 
+    def test_rejects_a_reference_shorter_than_r(self):
+        rng = np.random.default_rng(17)
+        dec, _ = random_decomposition(rng, n=10)
+        vals = dec.nonzero_eigenvalues[:3]
+        vecs = dec.eigenvectors[:, dec.kernel_dim:dec.kernel_dim + 3]
+        for ref_vals, ref_vecs in ((vals[:2], vecs), (vals, vecs[:, :2])):
+            with pytest.raises(InputError, match="reference must provide at least r=3 eigenpairs"):
+                lg.spectral_error(dec, ref_vals, ref_vecs, 3)
+
 
 class TestWeylStability:
     def test_eigenvalues_move_at_most_perturbation_norm(self):
@@ -519,6 +528,18 @@ class TestOperatorFromModes:
         dec = lg.eigendecompose(op)
         assert dec.kernel_dim == 8
         assert np.allclose(dec.nonzero_eigenvalues, [-1.0, -1.0, -4.0, -4.0], atol=1e-10)
+
+    def test_rejects_mismatched_shapes(self):
+        vals, modes = lg.analytic_eigenbasis(lg.equally_spaced_angles(12), 4)
+        for bad_vals, bad_modes in ((vals[:3], modes), (vals, modes[0]), (vals[:, None], modes)):
+            with pytest.raises(InputError, match=r"modes must be \(n, k\) with k matching"):
+                operator_from_modes(bad_vals, bad_modes)
+
+    def test_rejects_a_positive_eigenvalue(self):
+        vals, modes = lg.analytic_eigenbasis(lg.equally_spaced_angles(12), 4)
+        vals[2] = 0.5
+        with pytest.raises(InputError, match="eigenvalues must be non-positive"):
+            operator_from_modes(vals, modes)
 
     def test_rejects_dependent_modes(self):
         modes = np.ones((6, 2))

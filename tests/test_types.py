@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -20,7 +21,7 @@ class TestValidatePointCloud:
     def test_accepts_list_of_rows(self):
         cloud = lg.PointCloud([[0.0, 1.0], [1.0, 0.0]])
         assert cloud.n == 2
-        assert cloud.ambient_dim == 2
+        assert cloud.points.shape[1] == 2
         assert cloud.points.dtype == np.float64
 
     def test_accepts_array(self):
@@ -30,7 +31,7 @@ class TestValidatePointCloud:
 
     def test_single_point(self):
         cloud = lg.PointCloud([[1.5]])
-        assert cloud.n == 1 and cloud.ambient_dim == 1
+        assert cloud.n == 1 and cloud.points.shape[1] == 1
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):
@@ -64,6 +65,10 @@ class TestValidatePointCloud:
     def test_rejects_cells_that_are_not_real_numbers(self, raw, match):
         with pytest.raises(InputError, match=match):
             lg.PointCloud(raw)
+
+    def test_rejects_a_cloud_numpy_cannot_iterate(self):
+        with pytest.raises(InputError, match="each point must be a vector of coordinates"):
+            lg.PointCloud(object())
 
     def test_rejects_zero_width(self):
         with pytest.raises(InputError, match="non-empty 2-d"):
@@ -166,6 +171,12 @@ class TestGraphLaplacian:
         assert np.allclose(dec.eigenvalues, [0.0, 0.0, -6.0], atol=1e-12)
         assert dec.kernel_dim == 2
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        message = re.escape(f"Laplacian must be square, got shape {shape}")
+        with pytest.raises(InputError, match=message):
+            lg.GraphLaplacian(np.zeros(shape))
+
     def test_accepts_the_empty_and_the_zero_operator(self):
         assert lg.GraphLaplacian(np.zeros((0, 0))).n == 0
         assert lg.GraphLaplacian(np.zeros((3, 3))).n == 3
@@ -186,6 +197,12 @@ class TestDistanceMatrix:
         m = np.array([[0.0, np.inf], [np.inf, 0.0]])
         d = lg.DistanceMatrix(m)
         assert np.isinf(d.matrix[0, 1])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)])
+    def test_rejects_non_square(self, shape):
+        message = re.escape(f"distance matrix must be square, got shape {shape}")
+        with pytest.raises(InputError, match=message):
+            lg.DistanceMatrix(np.zeros(shape))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(InputError):
